@@ -39,7 +39,6 @@ from .incidence import IncidenceFit, fit_incidence, logistic_phi, soft_label_log
 from .inference import (
     BootstrapResult,
     bootstrap_se,
-    predicted_weight,
     prediction_error,
     resample_indices,
     wald_test,
@@ -51,7 +50,6 @@ from .latency_cox import (
     breslow_update,
     compute_weights,
     fit_latency,
-    g_function,
     profile_residual,
     weighted_partial_fit,
 )
@@ -110,7 +108,6 @@ __all__ = [
     "fit_latency",
     "fit_mle_em",
     "fit_presmoothing",
-    "g_function",
     "generate",
     "kaplan_meier",
     "kernel_weight",
@@ -119,7 +116,6 @@ __all__ = [
     "make_scenario",
     "observed_loglik",
     "plateau_fraction",
-    "predicted_weight",
     "prediction_error",
     "presmooth_all",
     "profile_residual",

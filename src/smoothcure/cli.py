@@ -19,8 +19,9 @@ from scipy.special import expit
 from . import __version__
 from .data import CsvSchema, load_csv
 from .errors import ConfigurationError, CureModelError
-from .inference import bootstrap_se, param_names, prediction_error, predicted_weight
+from .inference import bootstrap_se, param_names, prediction_error
 from .kernels import Bandwidth, default_grid
+from .latency_cox import compute_weights
 from .mle_baseline import CureModelFit
 from .nonparam import kaplan_meier
 from .pipeline import fit_cure_model
@@ -104,7 +105,6 @@ def _fit_options(args: argparse.Namespace, method: str) -> dict:
         "latency_tol": args.latency_tol,
         "latency_max_iter": args.latency_max_iter,
         "bandwidth_cap": args.bandwidth_cap,
-        "seed": args.seed,
     }
     if args.bandwidth:
         options["bandwidth"] = Bandwidth(np.array([float(v) for v in args.bandwidth.split(",")]))
@@ -226,7 +226,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not fit.converged:
         raise CureModelError("training fit did not converge; refusing to predict")
     phi = expit(test.x @ fit.gamma)
-    weights = [predicted_weight(fit, test.subject(i)) for i in range(test.n)]
+    weights = compute_weights(test, fit.gamma, fit.beta, fit.Lambda)
     pe = prediction_error(fit, test, swap_pairing=args.swap_pe_pairing)
     _write_csv(
         args.out,

@@ -1,26 +1,24 @@
 """Parametric incidence model and soft-label likelihood maximization.
 
-The incidence model gives the probability of being susceptible as a function
-of covariates; the logistic link is the one that ships.  Fitting maximizes a
-binary log-likelihood in which the 0/1 response is replaced by an estimated
-susceptibility probability (one minus the presmoothed cure probability), by
-Newton-Raphson with step halving.
+The incidence model gives the probability of being susceptible as a logistic
+function of covariates.  Fitting maximizes a binary log-likelihood in which
+the 0/1 response is replaced by an estimated susceptibility probability (one
+minus the presmoothed cure probability), by the damped Newton-Raphson of
+:mod:`smoothcure.newton`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import SingularHessianError
+from .newton import damped_newton
 
 __all__ = [
     "IncidenceFit",
-    "IncidenceModel",
-    "LOGISTIC",
     "fit_incidence",
     "logistic_phi",
     "soft_label_hessian",
@@ -71,17 +69,6 @@ def soft_label_hessian(gamma: np.ndarray, pihat: np.ndarray, x: np.ndarray) -> n
     return -(x * (phi * (1.0 - phi))[:, None]).T @ x
 
 
-@dataclass(frozen=True)
-class IncidenceModel:
-    """Value/gradient/curvature bundle so other links can be slotted in."""
-
-    loglik: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
-    score: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-
-
-LOGISTIC = IncidenceModel(soft_label_loglik, soft_label_score, soft_label_hessian)
-
 # A fit is reported as not converged when the likelihood maximum sits at
 # infinity (quasi-separated boundary labels) even though the score has
 # vanished numerically.  Two symptoms are checked: fitted |linear predictor|
@@ -107,7 +94,6 @@ def fit_incidence(
     init: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iter: int = 100,
-    model: IncidenceModel = LOGISTIC,
 ) -> IncidenceFit:
     """Maximize the soft-label log-likelihood by damped Newton-Raphson.
 
@@ -133,43 +119,21 @@ def fit_incidence(
     if np.linalg.matrix_rank(x) < p:
         raise SingularHessianError("incidence design matrix is rank deficient")
 
-    gamma = np.zeros(p) if init is None else np.array(init, dtype=float)
-    ll = model.loglik(gamma, pihat, x)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        score = model.score(gamma, pihat, x)
-        score_norm = np.max(np.abs(score))
-        if score_norm < tol:
-            iterations -= 1
-            break
-        hess = model.hessian(gamma, pihat, x)
-        try:
-            newton = np.linalg.solve(-hess, score)
-        except np.linalg.LinAlgError:
-            return IncidenceFit(gamma, ll, float(score_norm), iterations, False)
-        step = newton
-        new_ll = model.loglik(gamma + step, pihat, x)
-        if new_ll < ll:
-            # Near the optimum the objective comparison is noise-limited
-            # while the score stays precise, so prefer the full Newton step
-            # whenever it shrinks the score; halve only when far away.
-            small = np.max(np.abs(newton)) < 1e-4 * (1.0 + np.max(np.abs(gamma)))
-            if small and np.max(np.abs(model.score(gamma + newton, pihat, x))) < score_norm:
-                pass
-            else:
-                halvings = 0
-                while new_ll < ll and halvings < 50:
-                    step = 0.5 * step
-                    new_ll = model.loglik(gamma + step, pihat, x)
-                    halvings += 1
-                if new_ll < ll:
-                    return IncidenceFit(gamma, ll, float(score_norm), iterations, False)
-        gamma = gamma + step
-        ll = new_ll
+    def derivatives(gamma):
+        return soft_label_score(gamma, pihat, x), lambda: -soft_label_hessian(gamma, pihat, x)
 
-    score = model.score(gamma, pihat, x)
-    grad_norm = float(np.max(np.abs(score)))
-    saturated = float(np.max(np.abs(x @ gamma))) > LINPRED_SATURATION
-    flat = float(np.min(np.linalg.eigvalsh(-model.hessian(gamma, pihat, x)))) < INFORMATION_FLOOR * n
-    converged = grad_norm < tol and not saturated and not flat
-    return IncidenceFit(gamma, ll, grad_norm, iterations, converged)
+    res = damped_newton(
+        lambda gamma: soft_label_loglik(gamma, pihat, x),
+        derivatives,
+        np.zeros(p) if init is None else init,
+        tol,
+        max_iter,
+    )
+    # Only a vanished score is checked for a maximum at infinity.
+    converged = (
+        res.converged
+        and float(np.max(np.abs(x @ res.x))) <= LINPRED_SATURATION
+        and float(np.min(np.linalg.eigvalsh(-soft_label_hessian(res.x, pihat, x))))
+        >= INFORMATION_FLOOR * n
+    )
+    return IncidenceFit(res.x, res.value, res.score_norm, res.iterations, converged)

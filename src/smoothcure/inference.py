@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import Subject, SurvivalDataset
+from .data import SurvivalDataset
 from .errors import CureModelError, InferenceError
+from .latency_cox import compute_weights
 from .mle_baseline import CureModelFit
 from .pipeline import fit_cure_model
 
@@ -26,7 +27,6 @@ __all__ = [
     "BootstrapResult",
     "bootstrap_se",
     "prediction_error",
-    "predicted_weight",
     "resample_indices",
     "wald_test",
 ]
@@ -138,28 +138,6 @@ def bootstrap_se(
     )
 
 
-def _expected_weights(fit: CureModelFit, y, delta, x, z) -> np.ndarray:
-    """Expected susceptibility of test subjects under a fitted model."""
-    phi = expit(np.atleast_2d(x) @ fit.gamma)
-    s_u = np.exp(-fit.Lambda(y) * np.exp(np.atleast_2d(z) @ fit.beta))
-    s_u = np.where(np.asarray(y) > fit.Lambda.times[-1], 0.0, s_u)
-    num = phi * s_u
-    den = 1.0 - phi + num
-    with np.errstate(invalid="ignore"):
-        g = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-    return np.where(np.asarray(delta) == 1, 1.0, g)
-
-
-def predicted_weight(fit: CureModelFit, subject: Subject) -> float:
-    """Expected susceptibility of one test subject; zero-tail applies beyond
-    the training data's last event time."""
-    return float(
-        _expected_weights(
-            fit, np.array([subject.y]), np.array([subject.delta]), subject.x[None, :], subject.z[None, :]
-        )[0]
-    )
-
-
 def prediction_error(fit: CureModelFit, test: SurvivalDataset, swap_pairing: bool = False) -> float:
     """Cross-entropy-style prediction error of the incidence on a test set.
 
@@ -170,7 +148,7 @@ def prediction_error(fit: CureModelFit, test: SurvivalDataset, swap_pairing: boo
     with a zero coefficient contribute zero; a phi of exactly 0 or 1 paired
     with a nonzero coefficient yields +inf.
     """
-    w = _expected_weights(fit, test.y, test.delta, test.x, test.z)
+    w = compute_weights(test, fit.gamma, fit.beta, fit.Lambda)
     phi = expit(test.x @ fit.gamma)
     first, second = (phi, 1.0 - phi) if swap_pairing else (1.0 - phi, phi)
     total = 0.0

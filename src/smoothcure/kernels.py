@@ -129,7 +129,6 @@ def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
 def cv_bandwidth(
     ds: SurvivalDataset,
     grid: np.ndarray | None = None,
-    seed: int = 0,
     cap: float = DEFAULT_CAP,
 ) -> Bandwidth:
     """Select the bandwidth by leave-one-out cross-validation.
@@ -140,8 +139,7 @@ def cv_bandwidth(
     The criterion smooths with the Gaussian reference kernel (see
     :func:`cv_criterion`); the returned bandwidth is meant to feed the
     compact-support product kernel of the estimators.  The criterion is
-    deterministic; ``seed`` is accepted for interface stability and recorded
-    nowhere.
+    deterministic.
     """
     if not ds.meta.standardized:
         raise ConfigurationError("bandwidth selection expects standardized covariates")

@@ -1,13 +1,17 @@
-"""Proportional-hazards latency fitting with the incidence held fixed.
+"""Proportional-hazards latency fitting and the EM loop of the cure model.
 
-Given fitted incidence coefficients, the susceptible-subject survival model
-is estimated by alternating two steps until the parameters settle:
+The susceptible-subject survival model is estimated by alternating two steps
+until the parameters settle:
 
 a) recompute each censored subject's expected susceptibility weight from the
-   current baseline hazard and regression coefficients;
+   current incidence, baseline hazard and regression coefficients;
 b) maximize the weight-adjusted partial likelihood for the coefficients and
    refresh the baseline cumulative hazard with the matching Breslow-type
    update.
+
+The two-step estimator runs this loop with its incidence coefficients held
+fixed (:func:`fit_latency`); the joint EM of :mod:`smoothcure.mle_baseline`
+runs the same loop and also refits the incidence between a) and b).
 
 Events always carry weight one.  The zero-tail convention forces the
 susceptible survival to zero beyond the largest event time, so censored
@@ -20,12 +24,14 @@ cured fraction altogether.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.special import expit
 
 from .data import SurvivalDataset
 from .errors import NumericalError, SingularHessianError
+from .newton import damped_newton
 
 __all__ = [
     "LatencyFit",
@@ -33,8 +39,9 @@ __all__ = [
     "StepFunction",
     "breslow_update",
     "compute_weights",
+    "em_iterates",
     "fit_latency",
-    "g_function",
+    "mixture_survival",
     "profile_residual",
     "weighted_partial_fit",
 ]
@@ -108,39 +115,26 @@ class LatencyFit:
     last_event_time: float
 
 
-def g_function(
-    t: float,
-    Lambda: StepFunction,
-    beta: np.ndarray,
-    gamma: np.ndarray,
-    x: np.ndarray,
-    z: np.ndarray,
-) -> float:
-    """Expected susceptibility of a subject censored at t.
-
-    phi * S_u / (1 - phi + phi * S_u) with S_u = exp(-Lambda(t) e^{beta'z});
-    beyond the last jump time of Lambda the susceptible survival is zero and
-    the value is 0.
-    """
-    phi = expit(float(np.dot(gamma, x)))
-    if t > Lambda.times[-1]:
-        return 0.0
-    s_u = np.exp(-Lambda(t) * np.exp(float(np.dot(beta, z))))
-    num = phi * s_u
-    den = 1.0 - phi + num
-    return float(num / den) if den > 0.0 else 0.0
+def mixture_survival(
+    ds: SurvivalDataset, gamma: np.ndarray, beta: np.ndarray, Lambda: StepFunction
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per subject at its own time Y: H = Lambda(Y) e^{beta'z}, phi S_u and
+    the mixture survival 1 - phi + phi S_u, where S_u = exp(-H) is forced to
+    zero beyond the last jump time of Lambda (the zero-tail rule)."""
+    phi = expit(ds.x @ np.asarray(gamma, dtype=float))
+    hazard = Lambda(ds.y) * np.exp(ds.z @ np.asarray(beta, dtype=float))
+    s_u = np.where(ds.y > Lambda.times[-1], 0.0, np.exp(-hazard))
+    susceptible = phi * s_u
+    return hazard, susceptible, 1.0 - phi + susceptible
 
 
 def compute_weights(
     ds: SurvivalDataset, gamma: np.ndarray, beta: np.ndarray, Lambda: StepFunction
 ) -> np.ndarray:
-    """Expected susceptibility per subject: 1 for events, g for censored."""
-    phi = expit(ds.x @ np.asarray(gamma, dtype=float))
-    risk = np.exp(ds.z @ np.asarray(beta, dtype=float))
-    s_u = np.exp(-Lambda(ds.y) * risk)
-    s_u = np.where(ds.y > Lambda.times[-1], 0.0, s_u)
-    num = phi * s_u
-    den = 1.0 - phi + num
+    """Expected susceptibility per subject: 1 for events, and for a subject
+    censored at Y the posterior phi S_u(Y) / (1 - phi + phi S_u(Y)), which is
+    0 beyond the last jump time of Lambda."""
+    _, num, den = mixture_survival(ds, gamma, beta, Lambda)
     with np.errstate(invalid="ignore"):
         g = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
     return np.where(ds.delta == 1, 1.0, g)
@@ -185,7 +179,13 @@ def weighted_partial_fit(
     if np.linalg.matrix_rank(z - z.mean(axis=0)) < q:
         raise SingularHessianError("latency covariates have singular variance")
 
-    def decompose(beta):
+    zz = (z[:, :, None] * z[:, None, :]).reshape(ds.n, q * q)
+    # Risk weights and risk-set sums at the point the objective saw last;
+    # the Newton loop always asks for derivatives at that point, so each
+    # iteration costs three risk-set sums (trial point, s1 and s2).
+    last: dict[str, np.ndarray] = {}
+
+    def objective(beta):
         eta = z @ beta
         shift = float(np.max(eta))
         r = weights * np.exp(eta - shift)
@@ -194,60 +194,25 @@ def weighted_partial_fit(
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
             raise NumericalError(f"risk set at event index {i} (time {ds.y[i]}) has zero mass")
-        ll = float(np.sum(eta[events] - np.log(s0[events]) - shift))
-        return eta, shift, r, s0, ll
+        last.update(beta=beta, r=r, s0=s0)
+        return float(np.sum(eta[events] - np.log(s0[events]) - shift))
 
-    def score_at(beta):
-        r = weights * np.exp(z @ beta - np.max(z @ beta))
-        s0 = _riskset_sums(ds.y, r)
-        s1 = _riskset_sums(ds.y, r[:, None] * z)
-        return np.sum(z[events] - s1[events] / s0[events, None], axis=0)
+    def derivatives(beta):
+        if not np.array_equal(beta, last["beta"]):
+            objective(beta)
+        r, s0 = last["r"], last["s0"]
+        zbar = _riskset_sums(ds.y, r[:, None] * z)[events] / s0[events, None]
 
-    beta = np.zeros(q) if init is None else np.array(init, dtype=float)
-    zz = (z[:, :, None] * z[:, None, :]).reshape(ds.n, q * q)
-    _, _, r, s0, ll = decompose(beta)
-    iterations = 0
-    converged = False
-    score = np.empty(q)
-    for iterations in range(1, max_iter + 1):
-        s1 = _riskset_sums(ds.y, r[:, None] * z)
-        zbar = s1[events] / s0[events, None]
-        score = np.sum(z[events] - zbar, axis=0)
-        score_norm = np.max(np.abs(score))
-        if score_norm < tol:
-            iterations -= 1
-            converged = True
-            break
-        s2 = _riskset_sums(ds.y, r[:, None] * zz).reshape(ds.n, q, q)
-        info = np.sum(
-            s2[events] / s0[events, None, None] - zbar[:, :, None] * zbar[:, None, :], axis=0
-        )
-        try:
-            newton = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            return PartialLikelihoodFit(beta, False, iterations, float(score_norm))
-        step = newton
-        new = decompose(beta + step)
-        if new[4] < ll:
-            # Near the optimum the objective comparison is noise-limited
-            # while the score stays precise, so prefer the full Newton step
-            # whenever it shrinks the score; halve only when far away.
-            small = np.max(np.abs(newton)) < 1e-4 * (1.0 + np.max(np.abs(beta)))
-            if not (small and np.max(np.abs(score_at(beta + newton))) < score_norm):
-                halvings = 0
-                while new[4] < ll and halvings < 50:
-                    step = 0.5 * step
-                    new = decompose(beta + step)
-                    halvings += 1
-                if new[4] < ll:
-                    return PartialLikelihoodFit(beta, False, iterations, float(score_norm))
-        beta = beta + step
-        _, _, r, s0, ll = new
-    else:
-        s1 = _riskset_sums(ds.y, r[:, None] * z)
-        score = np.sum(z[events] - s1[events] / s0[events, None], axis=0)
-        converged = bool(np.max(np.abs(score)) < tol)
-    return PartialLikelihoodFit(beta, converged, iterations, float(np.max(np.abs(score))))
+        def information():
+            s2 = _riskset_sums(ds.y, r[:, None] * zz).reshape(ds.n, q, q)
+            return np.sum(
+                s2[events] / s0[events, None, None] - zbar[:, :, None] * zbar[:, None, :], axis=0
+            )
+
+        return np.sum(z[events] - zbar, axis=0), information
+
+    res = damped_newton(objective, derivatives, np.zeros(q) if init is None else init, tol, max_iter)
+    return PartialLikelihoodFit(res.x, res.converged, res.iterations, res.score_norm)
 
 
 def breslow_update(ds: SurvivalDataset, weights: np.ndarray, beta: np.ndarray) -> StepFunction:
@@ -269,6 +234,46 @@ def breslow_update(ds: SurvivalDataset, weights: np.ndarray, beta: np.ndarray) -
     return StepFunction(times, np.cumsum(counts / denom))
 
 
+def em_iterates(
+    ds: SurvivalDataset,
+    gamma: np.ndarray,
+    incidence_step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, bool]],
+    tol: float,
+    max_iter: int,
+) -> Iterator[tuple[np.ndarray, LatencyFit]]:
+    """EM for the mixture cure model: yields (gamma, latency) after each pass.
+
+    The start (pass 0) pairs ``gamma`` with the fit that ignores the cured
+    fraction.  Each pass takes the expected susceptibility weights of the
+    current state, updates the incidence by ``incidence_step(weights,
+    gamma)`` (new coefficients and whether that update converged), maximizes
+    the weighted partial likelihood and refreshes the baseline hazard.  The
+    passes stop once the largest change (coefficients in max-norm, hazard
+    across jump times) drops below ``tol``, or after ``max_iter`` passes.  A
+    stalled update only counts as convergence when the inner maximizations
+    themselves succeeded: a failed M-step that cannot move is no fixed point.
+    """
+    ones = np.ones(ds.n)
+    beta = weighted_partial_fit(ds, ones).beta
+    Lambda = breslow_update(ds, ones, beta)
+    last_event = float(Lambda.times[-1])
+    iterations, settled, converged = 0, False, False
+    while True:
+        w = compute_weights(ds, gamma, beta, Lambda)
+        yield gamma, LatencyFit(beta, Lambda, w, iterations, converged, last_event)
+        if settled or iterations >= max_iter:
+            return
+        iterations += 1
+        new_gamma, incidence_converged = incidence_step(w, gamma)
+        pf = weighted_partial_fit(ds, w, init=beta)
+        new_Lambda = breslow_update(ds, w, pf.beta)
+        steps = [new_gamma - gamma, pf.beta - beta, new_Lambda.values - Lambda.values]
+        change = np.max(np.abs(np.concatenate(steps)))
+        gamma, beta, Lambda = new_gamma, pf.beta, new_Lambda
+        settled = bool(change < tol)
+        converged = settled and incidence_converged and pf.converged
+
+
 def fit_latency(
     ds: SurvivalDataset,
     gamma_hat: np.ndarray,
@@ -277,35 +282,14 @@ def fit_latency(
 ) -> LatencyFit:
     """Alternate weight and (beta, Lambda) updates from the no-cure start.
 
-    The incidence coefficients stay fixed throughout.  Convergence is
-    declared when both the coefficient max-norm change and the largest
-    cumulative-hazard change across jump times drop below ``tol``.  The
-    returned weights are recomputed at the final parameters, so the returned
+    Runs :func:`em_iterates` with the incidence coefficients held fixed.
+    The returned weights are those of the final parameters, so the returned
     triple is self-consistent for :func:`profile_residual`.
     """
     gamma_hat = np.asarray(gamma_hat, dtype=float)
-    ones = np.ones(ds.n)
-    beta = weighted_partial_fit(ds, ones).beta
-    Lambda = breslow_update(ds, ones, beta)
-    last_event = float(Lambda.times[-1])
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w = compute_weights(ds, gamma_hat, beta, Lambda)
-        pf = weighted_partial_fit(ds, w, init=beta)
-        new_Lambda = breslow_update(ds, w, pf.beta)
-        change = max(
-            float(np.max(np.abs(pf.beta - beta))),
-            float(np.max(np.abs(new_Lambda.values - Lambda.values))),
-        )
-        beta = pf.beta
-        Lambda = new_Lambda
-        if change < tol:
-            converged = pf.converged
-            break
-    w = compute_weights(ds, gamma_hat, beta, Lambda)
-    return LatencyFit(beta, Lambda, w, iterations, converged, last_event)
+    for _, latency in em_iterates(ds, gamma_hat, lambda w, gamma: (gamma, True), tol, max_iter):
+        pass
+    return latency
 
 
 def profile_residual(

@@ -4,8 +4,9 @@ This is the classical comparator: the expectation step computes expected
 susceptibility weights from the current parameters, and the maximization
 step refits the incidence coefficients by weighted logistic regression, the
 latency coefficients by the weighted partial likelihood, and the baseline
-hazard by the Breslow-type update.  Unlike the two-step estimator, the
-incidence coefficients are re-estimated on every pass.
+hazard by the Breslow-type update.  The loop is the one the two-step
+estimator's latency fit runs; unlike there, the incidence coefficients are
+re-estimated on every pass.
 
 Non-convergence is a first-class outcome here: with small samples or no
 usable plateau the incidence coefficients can drift without bound, and the
@@ -18,17 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import SurvivalDataset
 from .incidence import IncidenceFit, fit_incidence
-from .latency_cox import (
-    LatencyFit,
-    StepFunction,
-    breslow_update,
-    compute_weights,
-    weighted_partial_fit,
-)
+from .latency_cox import LatencyFit, StepFunction, em_iterates, mixture_survival
 
 __all__ = ["CureModelFit", "fit_mle_em", "observed_loglik"]
 
@@ -63,12 +57,7 @@ def observed_loglik(
     no jump (or a censored term with zero mass) yields a -inf sentinel
     rather than an exception.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    beta = np.asarray(beta, dtype=float)
     events = ds.delta == 1
-    eta = ds.z @ beta
-    cumhaz = Lambda(ds.y)
-
     event_y = ds.y[events]
     if Lambda.times.size == 0:
         return float("-inf") if event_y.size else 0.0
@@ -77,12 +66,10 @@ def observed_loglik(
     jump_sizes = np.where(on_grid, Lambda.jumps[np.minimum(pos, Lambda.times.size - 1)], 0.0)
     if np.any(jump_sizes <= 0.0):
         return float("-inf")
-    event_terms = np.log(jump_sizes) + eta[events] - cumhaz[events] * np.exp(eta[events])
-
-    phi = expit(ds.x @ gamma)
-    s_u = np.exp(-cumhaz * np.exp(eta))
-    s_u = np.where(ds.y > Lambda.times[-1], 0.0, s_u)
-    mix = (1.0 - phi + phi * s_u)[~events]
+    hazard, _, survival = mixture_survival(ds, gamma, beta, Lambda)
+    eta = ds.z @ np.asarray(beta, dtype=float)
+    event_terms = np.log(jump_sizes) + eta[events] - hazard[events]
+    mix = survival[~events]
     if np.any(mix <= 0.0):
         return float("-inf")
     return float((np.sum(event_terms) + np.sum(np.log(mix))) / ds.n)
@@ -93,51 +80,33 @@ def fit_mle_em(ds: SurvivalDataset, tol: float = 1e-7, max_iter: int = 500) -> C
 
     Starts from a logistic fit that labels plateau-censored subjects cured
     and everyone else susceptible, plus the no-cure partial-likelihood and
-    Breslow fits.  Stops when the largest parameter change (coefficients in
-    max-norm, hazard across jump times) drops below ``tol``; hitting
-    ``max_iter`` returns ``converged=False`` with the estimates reached.
-    The per-iteration observed log-likelihood trace is attached for audit;
-    it is nondecreasing by the EM construction.
+    Breslow fits, and runs :func:`smoothcure.latency_cox.em_iterates` with
+    the incidence refitted by :func:`fit_incidence` on every pass.  Stops
+    when the largest parameter change (coefficients in max-norm, hazard
+    across jump times) drops below ``tol``; hitting ``max_iter`` returns
+    ``converged=False`` with the estimates reached.  The per-iteration
+    observed log-likelihood trace is attached for audit; it is
+    nondecreasing by the EM construction.
     """
-    ones = np.ones(ds.n)
     last_event = float(np.max(ds.y[ds.delta == 1]))
     plateau = (ds.delta == 0) & (ds.y > last_event)
     labels = np.where(plateau, 0.0, 1.0)
     gamma = fit_incidence(1.0 - labels, ds.x).gamma
-    beta = weighted_partial_fit(ds, ones).beta
-    Lambda = breslow_update(ds, ones, beta)
 
-    path = [observed_loglik(ds, gamma, beta, Lambda)]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w = compute_weights(ds, gamma, beta, Lambda)
-        inc = fit_incidence(1.0 - w, ds.x, init=gamma)
-        pf = weighted_partial_fit(ds, w, init=beta)
-        new_Lambda = breslow_update(ds, w, pf.beta)
-        change = max(
-            float(np.max(np.abs(inc.gamma - gamma))),
-            float(np.max(np.abs(pf.beta - beta))),
-            float(np.max(np.abs(new_Lambda.values - Lambda.values))),
-        )
-        gamma, beta, Lambda = inc.gamma, pf.beta, new_Lambda
-        path.append(observed_loglik(ds, gamma, beta, Lambda))
-        if change < tol:
-            # A stalled update only counts as convergence when the inner
-            # maximizations themselves succeeded; a saturated or failed
-            # M-step that cannot move is a failure, not a fixed point.
-            converged = inc.converged and pf.converged
-            break
+    def refit_incidence(weights, gamma):
+        inc = fit_incidence(1.0 - weights, ds.x, init=gamma)
+        return inc.gamma, inc.converged
 
-    w = compute_weights(ds, gamma, beta, Lambda)
-    latency = LatencyFit(beta, Lambda, w, iterations, converged, last_event)
+    path = []
+    for gamma, latency in em_iterates(ds, gamma, refit_incidence, tol, max_iter):
+        path.append(observed_loglik(ds, gamma, latency.beta, latency.Lambda))
     return CureModelFit(
         gamma=gamma,
-        beta=beta,
-        Lambda=Lambda,
+        beta=latency.beta,
+        Lambda=latency.Lambda,
         loglik=path[-1],
-        iterations=iterations,
-        converged=converged,
+        iterations=latency.iterations,
+        converged=latency.converged,
         method="mle",
         loglik_path=np.asarray(path),
         latency=latency,

@@ -24,7 +24,6 @@ def fit_presmoothing(
     incidence_max_iter: int = 100,
     latency_tol: float = 1e-7,
     latency_max_iter: int = 500,
-    seed: int = 0,
 ) -> CureModelFit:
     """Two-step fit: presmoothed incidence first, latency second.
 
@@ -38,7 +37,7 @@ def fit_presmoothing(
     if ds.meta.n_continuous > 0:
         ds_std, meta = standardize_continuous(ds)
         if bandwidth is None:
-            bandwidth = cv_bandwidth(ds_std, grid=grid, seed=seed, cap=bandwidth_cap)
+            bandwidth = cv_bandwidth(ds_std, grid=grid, cap=bandwidth_cap)
     else:
         ds_std, meta = ds, ds.meta
         if bandwidth is None:

@@ -251,7 +251,7 @@ def test_criterion_10_determinism():
     gen_ok = np.array_equal(ds.y, ds2.y) and np.array_equal(ds.x, ds2.x)
 
     std, _ = standardize_continuous(ds)
-    cv_ok = np.array_equal(cv_bandwidth(std, seed=1).h, cv_bandwidth(std, seed=1).h)
+    cv_ok = np.array_equal(cv_bandwidth(std).h, cv_bandwidth(std).h)
 
     b1 = bootstrap_se(ds, method="mle", B=8, seed=3)
     b2 = bootstrap_se(ds, method="mle", B=8, seed=3)

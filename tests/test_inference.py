@@ -10,11 +10,10 @@ from smoothcure import (
     CureModelFit,
     InferenceError,
     StepFunction,
-    Subject,
     bootstrap_se,
+    compute_weights,
     fit_presmoothing,
     make_scenario,
-    predicted_weight,
     prediction_error,
     resample_indices,
     wald_test,
@@ -60,22 +59,28 @@ class TestWald:
 
 
 class TestPredictedWeight:
+    """Expected susceptibility of one test subject under a fitted model."""
+
+    @staticmethod
+    def predicted_weight(fit, y, delta, z):
+        # A dataset needs two subjects and an event, so an event row rides
+        # along; weights are computed row by row.
+        test = build_dataset([y, y], [delta, 1], z_cols=[[z, z]])
+        return float(compute_weights(test, fit.gamma, fit.beta, fit.Lambda)[0])
+
     def test_event_subject_is_one(self):
         fit = toy_fit([0.3], [0.1])
-        s = Subject(1.5, 1, np.array([1.0]), np.array([0.4]))
-        assert predicted_weight(fit, s) == 1.0
+        assert self.predicted_weight(fit, 1.5, 1, 0.4) == 1.0
 
     def test_beyond_training_plateau_is_zero(self):
         fit = toy_fit([0.3], [0.1])
-        s = Subject(9.0, 0, np.array([1.0]), np.array([0.4]))
-        assert predicted_weight(fit, s) == 0.0
+        assert self.predicted_weight(fit, 9.0, 0, 0.4) == 0.0
 
     def test_direct_formula(self):
         # phi = 0.5, Lambda(y) e^{beta'z} = 1
         fit = toy_fit([0.0], [0.0], times=(1.0,), values=(1.0,))
-        s = Subject(1.0, 0, np.array([1.0]), np.array([0.7]))
         expected = math.exp(-1) / (1 + math.exp(-1))
-        assert predicted_weight(fit, s) == pytest.approx(expected, rel=1e-12)
+        assert self.predicted_weight(fit, 1.0, 0, 0.7) == pytest.approx(expected, rel=1e-12)
 
 
 class TestPredictionError:

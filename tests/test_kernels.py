@@ -153,8 +153,8 @@ class TestCvBandwidth:
 
     def test_deterministic(self, rng):
         ds, _ = standardize_continuous(random_dataset(rng, n=30))
-        a = cv_bandwidth(ds, seed=3)
-        b = cv_bandwidth(ds, seed=3)
+        a = cv_bandwidth(ds)
+        b = cv_bandwidth(ds)
         assert np.array_equal(a.h, b.h)
 
     def test_requires_events(self):

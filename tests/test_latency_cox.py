@@ -10,7 +10,6 @@ from smoothcure import (
     breslow_update,
     compute_weights,
     fit_latency,
-    g_function,
     observed_loglik,
     profile_residual,
     weighted_partial_fit,
@@ -49,24 +48,32 @@ class TestStepFunction:
 
 
 class TestGFunction:
+    """The expected susceptibility g(t) of one subject censored at t."""
+
     def setup_method(self):
         self.Lambda = StepFunction(np.array([1.0, 2.0]), np.array([0.4, 1.0]))
         self.gamma = np.array([0.0])
-        self.x = np.array([1.0])
+
+    @staticmethod
+    def g(t, Lambda, gamma):
+        # A dataset needs two subjects and an event, so an event row rides
+        # along; weights are computed row by row.
+        ds = build_dataset([t, t], [0, 1], z_cols=[[0.0, 0.0]])
+        return float(compute_weights(ds, gamma, np.zeros(1), Lambda)[0])
 
     def test_zero_hazard_reduces_to_phi(self):
         # with S_u = 1 the posterior susceptibility equals phi itself
-        assert g_function(0.5, self.Lambda, np.zeros(1), self.gamma, self.x, np.zeros(1)) == 0.5
+        assert self.g(0.5, self.Lambda, self.gamma) == 0.5
         sure = np.array([60.0])  # phi = 1 at double precision
-        assert g_function(0.5, self.Lambda, np.zeros(1), sure, self.x, np.zeros(1)) == 1.0
+        assert self.g(0.5, self.Lambda, sure) == 1.0
 
     def test_zero_tail_gives_zero(self):
-        assert g_function(2.5, self.Lambda, np.zeros(1), self.gamma, self.x, np.zeros(1)) == 0.0
+        assert self.g(2.5, self.Lambda, self.gamma) == 0.0
 
     def test_direct_formula(self):
         # phi = 0.5 and Lambda(t) e^{beta'z} = 1
         Lam = StepFunction(np.array([1.0]), np.array([1.0]))
-        g = g_function(1.0, Lam, np.zeros(1), self.gamma, self.x, np.zeros(1))
+        g = self.g(1.0, Lam, self.gamma)
         assert g == pytest.approx(math.exp(-1) / (1 + math.exp(-1)), rel=1e-12)
 
 

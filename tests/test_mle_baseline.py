@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from smoothcure import (
+    CureModelError,
     StepFunction,
     breslow_update,
     compute_weights,
@@ -87,3 +88,15 @@ class TestFitMleEm:
         b = fit_mle_em(ds.take(perm))
         assert np.allclose(a.gamma, b.gamma, atol=1e-8)
         assert np.allclose(a.beta, b.beta, atol=1e-8)
+
+    def test_runaway_incidence_ends_finite_or_typed(self):
+        # gamma drifts to about 1e3 on this draw; the incidence Newton system
+        # then solves to a NaN direction, which must not be taken as a step.
+        ds = generate(make_scenario("demo/convergence"), 10006, 6)
+        try:
+            fit = fit_mle_em(ds)
+        except CureModelError:
+            return
+        assert not fit.converged
+        assert np.all(np.isfinite(fit.gamma)) and np.all(np.isfinite(fit.beta))
+        assert np.all(np.isfinite(fit.Lambda.values)) and np.isfinite(fit.loglik)
