@@ -22,6 +22,7 @@ from .errors import CureModelError, InferenceError
 from .latency_cox import compute_weights
 from .mle_baseline import CureModelFit
 from .pipeline import fit_cure_model
+from .simulate import DEFAULT_SEED
 
 __all__ = [
     "BootstrapResult",
@@ -91,7 +92,7 @@ def bootstrap_se(
     ds: SurvivalDataset,
     method: str = "presmooth",
     B: int = 500,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
     n_jobs: int = 1,
     **fit_options,
 ) -> BootstrapResult:
@@ -151,12 +152,10 @@ def prediction_error(fit: CureModelFit, test: SurvivalDataset, swap_pairing: boo
     w = compute_weights(test, fit.gamma, fit.beta, fit.Lambda)
     phi = expit(test.x @ fit.gamma)
     first, second = (phi, 1.0 - phi) if swap_pairing else (1.0 - phi, phi)
-    total = 0.0
-    for wj, a, b in zip(w, first, second):
-        for coef, prob in ((wj, a), (1.0 - wj, b)):
-            if coef == 0.0:
-                continue
-            if prob <= 0.0:
-                return float("inf")
-            total -= coef * math.log(prob)
-    return total
+    coef = np.concatenate([w, 1.0 - w])
+    prob = np.concatenate([first, second])
+    active = coef != 0.0
+    coef, prob = coef[active], prob[active]
+    if np.any(prob <= 0.0):
+        return float("inf")
+    return float(-np.sum(coef * np.log(prob)))

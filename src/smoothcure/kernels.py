@@ -25,7 +25,6 @@ __all__ = [
     "cv_criterion",
     "default_grid",
     "epanechnikov",
-    "gaussian",
     "kernel_weight",
     "kernel_weight_matrix",
 ]
@@ -53,38 +52,44 @@ class Bandwidth:
 def epanechnikov(u):
     """(3/4)(1 - u^2) on |u| <= 1, zero outside."""
     u = np.asarray(u, dtype=float)
-    out = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+    out = np.square(u, out=np.empty_like(u))
+    np.subtract(1.0, out, out=out)
+    np.fmax(out, 0.0, out=out)  # also maps a NaN argument to 0
+    out *= 0.75
     return out if out.ndim else float(out)
 
 
-def gaussian(u):
-    """Standard normal density; the cross-validation reference kernel."""
-    u = np.asarray(u, dtype=float)
-    out = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
-    return out if out.ndim else float(out)
+def _check_bandwidth(b: Bandwidth, meta: CovariateMeta) -> None:
+    if len(b) != meta.n_continuous:
+        raise ConfigurationError(
+            f"bandwidth has {len(b)} entries but there are {meta.n_continuous} continuous covariates"
+        )
 
 
 def kernel_weight_matrix(
-    x_query: np.ndarray, x_data: np.ndarray, b: Bandwidth, meta: CovariateMeta, kernel=epanechnikov
+    x_query: np.ndarray, x_data: np.ndarray, b: Bandwidth, meta: CovariateMeta
 ) -> np.ndarray:
     """All pairwise weights W[i, j] of data point j at query point i.
 
     Each entry is the product over continuous covariates of
-    k((x_data[j] - x_query[i]) / h) / h, times 1 if every discrete covariate
-    matches exactly and 0 otherwise.  The intercept column is ignored.
+    k((x_data[j] - x_query[i]) / h) / h, with k the Epanechnikov kernel,
+    times 1 if every discrete covariate matches exactly and 0 otherwise.
+    The intercept column is ignored.
     """
     x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
     x_data = np.atleast_2d(np.asarray(x_data, dtype=float))
+    _check_bandwidth(b, meta)
     cont = meta.continuous_columns()
     disc = meta.discrete_columns()
-    if len(b) != cont.size:
-        raise ConfigurationError(
-            f"bandwidth has {len(b)} entries but there are {cont.size} continuous covariates"
-        )
-    w = np.ones((x_query.shape[0], x_data.shape[0]))
+    w = None
     for h_j, col in zip(b.h, cont):
-        u = (x_data[None, :, col] - x_query[:, None, col]) / h_j
-        w *= kernel(u) / h_j
+        u = np.subtract(x_data[None, :, col], x_query[:, None, col])
+        u /= h_j
+        k = epanechnikov(u)
+        k /= h_j
+        w = k if w is None else np.multiply(w, k, out=w)
+    if w is None:
+        w = np.ones((x_query.shape[0], x_data.shape[0]))
     for col in disc:
         w *= x_data[None, :, col] == x_query[:, None, col]
     return w
@@ -102,6 +107,82 @@ def default_grid(lo: float = 0.05, hi: float = DEFAULT_CAP, num: int = 30) -> np
     return np.geomspace(lo, hi, num)
 
 
+@dataclass(frozen=True)
+class _CvTable:
+    """Bandwidth-free part of the criterion, rows and columns in time order.
+
+    ``sq_dist`` holds one n x n table of squared differences per continuous
+    covariate; ``match`` flags the pairs other than i = j that agree on every
+    discrete covariate and is ``None`` when there are none.  ``event_last``
+    is 1 at the last sorted position of each distinct event time and 0
+    elsewhere, and ``start`` is each subject's first sorted position with
+    ``y >= Y_i``.
+    """
+
+    sq_dist: tuple[np.ndarray, ...]
+    match: np.ndarray | None
+    event_last: np.ndarray
+    start: np.ndarray
+
+
+def _cv_table(ds: SurvivalDataset) -> _CvTable:
+    order = np.argsort(ds.y, kind="stable")
+    y = ds.y[order]
+    x = ds.x[order]
+    times = np.unique(y[ds.delta[order] == 1])
+    event_last = np.zeros(ds.n)
+    event_last[np.searchsorted(y, times, side="right") - 1] = 1.0
+    match = None
+    for col in ds.meta.discrete_columns():
+        same = x[:, None, col] == x[None, :, col]
+        match = same if match is None else np.logical_and(match, same, out=match)
+    if match is not None:
+        np.fill_diagonal(match, False)
+    return _CvTable(
+        sq_dist=tuple(np.square(x[:, None, col] - x[None, :, col]) for col in ds.meta.continuous_columns()),
+        match=match,
+        event_last=event_last,
+        start=np.searchsorted(y, y, side="left"),
+    )
+
+
+def _cv_score(table: _CvTable, h: np.ndarray, work: np.ndarray) -> float:
+    """Criterion of one candidate, computed in place in the n x n buffer ``work``.
+
+    The Gaussian constants cancel in the Nadaraya-Watson ratio, so row i
+    holds the weights exp(-sum_c D_c^2 / (2 h_c^2)) in time order.  Their
+    running sum, less the row total from position ``start[i]`` on and
+    divided by that total, is H(t | X_i) - 1{Y_i <= t} at every sorted
+    position; the squares at the event-time positions sum to the residual.
+    """
+    if table.sq_dist:
+        # The scale stays finite however small h is, so a zero distance
+        # keeps weight 1 instead of becoming 0 * inf.
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = np.maximum(-0.5 / np.square(h), -np.finfo(float).max)
+            np.multiply(table.sq_dist[0], scale[0], out=work)
+            for d, s in zip(table.sq_dist[1:], scale[1:]):
+                work += d * s
+    else:
+        work.fill(0.0)
+    np.exp(work, out=work)
+    if table.match is None:
+        np.fill_diagonal(work, 0.0)
+    else:
+        work *= table.match
+    den = work.sum(axis=1)
+    keep = den > 0.0
+    if not np.any(keep):
+        return np.inf
+    rows = np.arange(den.size)
+    work[rows, table.start] -= den
+    np.cumsum(work, axis=1, out=work)
+    # Normalize before squaring: den**2 can underflow where den does not.
+    work /= np.where(keep, den, 1.0)[:, None]
+    resid = np.einsum("ij,ij,j->i", work, work, table.event_last)
+    return float(np.sum(resid[keep]))
+
+
 def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
     """Leave-one-out least-squares score of a candidate bandwidth.
 
@@ -112,18 +193,14 @@ def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
     conditional-distribution bandwidth selectors this mirrors, and it is the
     scale the cap of 2 on standardized covariates presumes.  Subjects whose
     leave-one-out neighborhood carries no kernel mass are skipped.
+
+    With the subjects sorted by follow-up time every estimate of H is a
+    running sum along a row, so the score costs O(n^2) time and memory (a
+    few n x n arrays) for any number of event times; no n x T table is
+    formed.
     """
-    t = np.unique(ds.y[ds.delta == 1])
-    indicator = (ds.y[:, None] <= t[None, :]).astype(float)
-    w = kernel_weight_matrix(ds.x, ds.x, b, ds.meta, kernel=gaussian)
-    np.fill_diagonal(w, 0.0)
-    den = w.sum(axis=1)
-    keep = den > 0.0
-    if not np.any(keep):
-        return np.inf
-    h_hat = w[keep] @ indicator / den[keep, None]
-    resid = indicator[keep] - h_hat
-    return float(np.sum(resid * resid))
+    _check_bandwidth(b, ds.meta)
+    return _cv_score(_cv_table(ds), b.h, np.empty((ds.n, ds.n)))
 
 
 def cv_bandwidth(
@@ -140,6 +217,11 @@ def cv_bandwidth(
     :func:`cv_criterion`); the returned bandwidth is meant to feed the
     compact-support product kernel of the estimators.  The criterion is
     deterministic.
+
+    The bandwidth-free part of the criterion (time order, squared covariate
+    distances, discrete-match mask) is built once, and each candidate is
+    scored in one reused n x n buffer: O(n^2) memory, and O(n^2) time per
+    candidate.
     """
     if not ds.meta.standardized:
         raise ConfigurationError("bandwidth selection expects standardized covariates")
@@ -153,10 +235,12 @@ def cv_bandwidth(
     if grid.size == 0:
         raise ConfigurationError("bandwidth grid is empty")
 
+    table = _cv_table(ds)
+    work = np.empty((ds.n, ds.n))
     best: tuple[float, ...] | None = None
     best_score = np.inf
     for combo in itertools.product(grid, repeat=n_cont):
-        score = cv_criterion(ds, Bandwidth(np.asarray(combo)))
+        score = _cv_score(table, np.asarray(combo), work)
         if score < best_score:
             best_score = score
             best = combo

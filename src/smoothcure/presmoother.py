@@ -42,17 +42,17 @@ class CureProbEstimate:
     bandwidth: Bandwidth
 
 
-def _event_tables(y: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indicator tables over the distinct uncensored times.
+def _time_ordered_weights(x_query: np.ndarray, ds: SurvivalDataset, b: Bandwidth):
+    """Kernel weights with the data columns in decreasing time order.
 
-    Returns (event_times, event_mask, risk_mask) where event_mask[j, k] flags
-    subject j having an event exactly at time k and risk_mask[j, k] flags
-    Y_j >= t_k.
+    Within a tied time the events come last, so the running sum along a row
+    up to the last column at or above t is the at-risk mass at t.  Returns
+    (weights, at_risk, y, event_col): ``at_risk`` is that running sum, and
+    ``y`` and ``event_col`` are the times and event flags of the columns.
     """
-    times = np.unique(y[delta == 1])
-    event_mask = ((y[:, None] == times[None, :]) & (delta[:, None] == 1)).astype(float)
-    risk_mask = (y[:, None] >= times[None, :]).astype(float)
-    return times, event_mask, risk_mask
+    order = np.lexsort((1 - ds.delta, ds.y))[::-1]
+    w = kernel_weight_matrix(x_query, ds.x[order], b, ds.meta)
+    return w, np.cumsum(w, axis=1), ds.y[order], ds.delta[order] == 1
 
 
 def _survival_products(h1: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
@@ -69,13 +69,14 @@ def _survival_products(h1: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
 
 def conditional_subdist(ds: SurvivalDataset, x: np.ndarray, b: Bandwidth) -> ConditionalSubdist:
     """Normalized kernel-weighted subdistribution of (Y, delta) at point x."""
-    w = kernel_weight_matrix(np.asarray(x, dtype=float)[None, :], ds.x, b, ds.meta)[0]
-    total = w.sum()
+    w, at_risk, y, event_col = _time_ordered_weights(np.asarray(x, dtype=float)[None, :], ds, b)
+    total = at_risk[0, -1]
     if not total > 0.0:
         raise EmptyNeighborhoodError("all kernel weights vanish at the requested point")
-    w = w / total
-    times, event_mask, risk_mask = _event_tables(ds.y, ds.delta)
-    return ConditionalSubdist(times, w @ event_mask, w @ risk_mask)
+    times, k = np.unique(y[event_col], return_inverse=True)
+    h1 = np.bincount(k, weights=w[0, event_col], minlength=times.size)
+    last_at_risk = np.searchsorted(-y, -times, side="right") - 1
+    return ConditionalSubdist(times, h1 / total, at_risk[0, last_at_risk] / total)
 
 
 def estimate_cure_prob(ds: SurvivalDataset, x: np.ndarray, b: Bandwidth) -> CureProbEstimate:
@@ -90,11 +91,18 @@ def presmooth_all(ds: SurvivalDataset, b: Bandwidth) -> np.ndarray:
 
     Evaluation at a sample point always has positive kernel mass (the point
     weights itself), so no neighborhood can be empty here.
+
+    Each event column j contributes the factor 1 - w_j / S_j, where S_j is
+    the running weight sum up to j in the column order of
+    :func:`_time_ordered_weights`; over the tied events of one time these
+    telescope to 1 - (event mass) / (at-risk mass).  The estimate is thus a
+    product along the rows of two n x n matrices: O(n^2) time and memory,
+    with no n x T table.  Each factor lies in [0, 1] exactly, since the
+    running sum at j already contains w_j.
     """
-    w = kernel_weight_matrix(ds.x, ds.x, b, ds.meta)
-    total = w.sum(axis=1)
-    if np.any(total <= 0.0):
+    w, at_risk, _, event_col = _time_ordered_weights(ds.x, ds, b)
+    if np.any(at_risk[:, -1] <= 0.0):
         raise EmptyNeighborhoodError("zero kernel mass at a sample point")
-    w = w / total[:, None]
-    times, event_mask, risk_mask = _event_tables(ds.y, ds.delta)
-    return _survival_products(w @ event_mask, w @ risk_mask)
+    np.divide(w, at_risk, out=w, where=at_risk > 0.0)
+    np.subtract(1.0, w, out=w)
+    return np.prod(w, axis=1, where=event_col)

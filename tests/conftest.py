@@ -48,3 +48,62 @@ def random_dataset(rng, n=20, q=1, discrete=False):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+def hostile_kernel_cases(rng):
+    """(name, dataset, bandwidth values) for checking kernel paths against direct formulas.
+
+    Each bandwidth value is used for every continuous covariate.  The
+    ``empty-neighborhoods`` case has tight clusters far apart plus one
+    isolated subject, so at its small bandwidths some leave-one-out Gaussian
+    neighborhoods carry exactly zero mass while the others stay well above
+    underflow.
+    """
+    cases = []
+    n = 40
+    delta = (rng.random(n) < 0.6).astype(int)
+    delta[0] = 1
+    cases.append((
+        "heavy-ties",
+        build_dataset(rng.integers(1, 4, n).astype(float), delta, x_cols=[rng.normal(size=n)]),
+        (0.2, 0.7, 3.0),
+    ))
+    n = 25
+    y = rng.exponential(2.0, n).round(2)
+    delta = np.zeros(n, dtype=int)
+    y[:6] = 2.0
+    delta[:3] = 1
+    cases.append((
+        "single-event-time",
+        build_dataset(y, delta, x_cols=[rng.normal(size=n)]),
+        (0.2, 0.7, 3.0),
+    ))
+    n = 50
+    delta = (rng.random(n) < 0.7).astype(int)
+    delta[0] = 1
+    cases.append((
+        "discrete",
+        build_dataset(
+            rng.exponential(1.0, n).round(1), delta,
+            x_cols=[rng.normal(size=n), rng.integers(0, 3, n).astype(float),
+                    rng.normal(size=n), rng.integers(0, 2, n).astype(float)],
+            discrete=[False, True, False, True],
+        ),
+        (0.3, 1.0, 4.0),
+    ))
+    n = 30
+    delta = (rng.random(n) < 0.7).astype(int)
+    delta[0] = 1
+    base = build_dataset(rng.exponential(1.0, n).round(1), delta, x_cols=[rng.normal(size=n)])
+    cases.append(("bootstrap-resample", base.take(rng.integers(0, n, n)), (0.1, 0.5, 2.0)))
+    centers = np.repeat([0.0, 5.0, 10.0], 8)
+    x = np.append(centers + rng.uniform(-0.01, 0.01, centers.size), 20.0)
+    n = x.size
+    delta = (rng.random(n) < 0.7).astype(int)
+    delta[0] = 1
+    cases.append((
+        "empty-neighborhoods",
+        build_dataset(rng.exponential(1.0, n), delta, x_cols=[x]),
+        (0.005, 0.01),
+    ))
+    return cases

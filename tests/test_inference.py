@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 import smoothcure.inference as inference
 from smoothcure import (
@@ -139,7 +140,76 @@ class TestPredictionError:
             assert prediction_error(fit, test) >= 0.0
 
 
+def loop_prediction_error(fit, test, swap_pairing=False):
+    """The per-subject loop that prediction_error replaced, kept as an oracle."""
+    w = compute_weights(test, fit.gamma, fit.beta, fit.Lambda)
+    phi = expit(test.x @ fit.gamma)
+    first, second = (phi, 1.0 - phi) if swap_pairing else (1.0 - phi, phi)
+    total = 0.0
+    for wj, a, b in zip(w, first, second):
+        for coef, prob in ((wj, a), (1.0 - wj, b)):
+            if coef == 0.0:
+                continue
+            if prob <= 0.0:
+                return math.inf
+            total -= coef * math.log(prob)
+    return total
+
+
+class TestPredictionErrorMatchesLoop:
+    @staticmethod
+    def case(rng, n, gamma_scale):
+        fit = toy_fit(rng.normal(scale=gamma_scale, size=2), rng.normal(size=1),
+                      times=(0.5, 1.0, 2.0), values=(0.2, 0.7, 1.5))
+        delta = (rng.random(n) < 0.5).astype(int)
+        delta[0] = 1
+        # Some follow-up beyond the last jump: censored there, weight 0.
+        y = np.where(rng.random(n) < 0.2, 5.0, rng.exponential(1.0, n))
+        test = build_dataset(y, delta, x_cols=[rng.normal(size=n)], z_cols=[rng.normal(size=n)])
+        return fit, test
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_random_fits(self, rng, swap):
+        for _ in range(40):
+            fit, test = self.case(rng, int(rng.integers(2, 60)), 1.0)
+            expected = loop_prediction_error(fit, test, swap)
+            assert math.isfinite(expected)
+            assert prediction_error(fit, test, swap) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_saturated_probabilities(self, rng, swap):
+        # gamma'x of several hundred puts phi at exactly 0 or 1: zero
+        # coefficients must skip their term and nonzero ones give +inf.
+        outcomes = set()
+        for _ in range(60):
+            fit, test = self.case(rng, int(rng.integers(2, 12)), 400.0)
+            expected = loop_prediction_error(fit, test, swap)
+            got = prediction_error(fit, test, swap)
+            outcomes.add(math.isinf(expected))
+            if math.isinf(expected):
+                assert got == math.inf
+            else:
+                assert got == pytest.approx(expected, rel=1e-12)
+        assert outcomes == {True, False}
+
+    def test_zero_coefficient_on_zero_probability(self):
+        # Event subject (weight 1) with phi = 0: the (1 - w) * log(phi) term
+        # has a zero coefficient and is skipped; log(1 - phi) = 0.
+        fit = toy_fit([-800.0], [0.0])
+        test = build_dataset([1.0, 1.5], [1, 1], z_cols=[[0.0, 0.0]])
+        assert loop_prediction_error(fit, test) == 0.0
+        assert prediction_error(fit, test) == 0.0
+        assert prediction_error(fit, test, swap_pairing=True) == math.inf
+
+
 class TestBootstrap:
+    def test_default_seed_is_the_package_default(self):
+        import inspect
+
+        from smoothcure import DEFAULT_SEED
+
+        assert inspect.signature(bootstrap_se).parameters["seed"].default == DEFAULT_SEED == 1729
+
     def test_deterministic_indices(self):
         a = resample_indices(11, 3, 50)
         b = resample_indices(11, 3, 50)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from smoothcure import (
 )
 from smoothcure.kernels import cv_criterion, kernel_weight_matrix
 
-from conftest import build_dataset, random_dataset
+from conftest import build_dataset, hostile_kernel_cases, random_dataset
 
 
 class TestEpanechnikov:
@@ -116,6 +118,109 @@ def brute_force_cv(ds, grid):
                 total += (float(ds.y[i] <= t) - est) ** 2
         scores.append(total)
     return np.asarray(scores)
+
+
+def gaussian_weight_matrix(ds, b):
+    """Pairwise product Gaussian weights with exact discrete matching."""
+    w = np.ones((ds.n, ds.n))
+    for h, col in zip(b.h, ds.meta.continuous_columns()):
+        u = (ds.x[None, :, col] - ds.x[:, None, col]) / h
+        w *= np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi) / h
+    for col in ds.meta.discrete_columns():
+        w *= ds.x[None, :, col] == ds.x[:, None, col]
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
+def direct_cv_criterion(ds, b):
+    """The n x T formula cv_criterion replaced, kept as an oracle."""
+    t = np.unique(ds.y[ds.delta == 1])
+    indicator = (ds.y[:, None] <= t[None, :]).astype(float)
+    w = gaussian_weight_matrix(ds, b)
+    den = w.sum(axis=1)
+    keep = den > 0.0
+    if not np.any(keep):
+        return np.inf
+    resid = indicator[keep] - w[keep] @ indicator / den[keep, None]
+    return float(np.sum(resid * resid))
+
+
+class TestCvCriterionOracle:
+    @pytest.mark.parametrize("case", range(5))
+    def test_matches_direct_formula(self, rng, case):
+        name, ds, values = hostile_kernel_cases(rng)[case]
+        for h in values:
+            b = Bandwidth(np.full(ds.meta.n_continuous, h))
+            expected = direct_cv_criterion(ds, b)
+            assert math.isfinite(expected), name
+            assert cv_criterion(ds, b) == pytest.approx(expected, rel=1e-12, abs=0.0), (name, h)
+
+    def test_empty_neighborhoods_are_skipped(self, rng):
+        name, ds, values = hostile_kernel_cases(rng)[4]
+        b = Bandwidth(np.array([values[-1]]))
+        mass = gaussian_weight_matrix(ds, b).sum(axis=1)
+        # The case exercises both kinds of row: no leave-one-out mass at
+        # all, and mass far from underflow.
+        assert np.any(mass == 0.0) and np.min(mass[mass > 0.0]) > 1e-100
+
+    def test_tiny_bandwidth_keeps_exact_ties(self, rng):
+        # At h = 1e-200 only identical covariate values carry weight; the
+        # resample has such duplicates.
+        name, ds, _ = hostile_kernel_cases(rng)[3]
+        b = Bandwidth(np.array([1e-200]))
+        with np.errstate(all="ignore"):
+            expected = direct_cv_criterion(ds, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cv_criterion(ds, b)
+        assert math.isfinite(expected)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_no_mass_anywhere_is_infinite(self):
+        ds = build_dataset([1.0, 2.0, 3.0], [1, 1, 0], x_cols=[[0.0, 10.0, 20.0]])
+        assert cv_criterion(ds, Bandwidth(np.array([0.01]))) == np.inf
+
+    def test_two_continuous_product_grid(self, rng):
+        n = 35
+        delta = (rng.random(n) < 0.7).astype(int)
+        delta[0] = 1
+        ds = build_dataset(rng.exponential(1, n).round(1), delta,
+                           x_cols=[rng.normal(size=n), rng.normal(size=n)])
+        for h in itertools.product([0.1, 0.6, 2.5], repeat=2):
+            b = Bandwidth(np.array(h))
+            assert cv_criterion(ds, b) == pytest.approx(direct_cv_criterion(ds, b), rel=1e-12, abs=0.0)
+
+    def test_bandwidth_length_checked(self, rng):
+        ds = random_dataset(rng, n=10)
+        with pytest.raises(ConfigurationError):
+            cv_criterion(ds, Bandwidth(np.array([0.5, 0.5])))
+
+
+def test_cv_underflow_raises_no_warning(rng):
+    """Small bandwidths on widely spread covariates underflow the weights.
+
+    No RuntimeWarning may escape, and every candidate scores a number or
+    +inf, never NaN (a NaN score loses every comparison silently).
+    """
+    n = 60
+    delta = (rng.random(n) < 0.7).astype(int)
+    delta[0] = 1
+    ds = build_dataset(
+        rng.exponential(1.0, n), delta,
+        x_cols=[rng.standard_cauchy(n) * 100.0, rng.lognormal(0.0, 3.0, n), rng.integers(0, 3, n)],
+        discrete=[False, False, True],
+    )
+    ds, _ = standardize_continuous(ds)
+    grid = np.geomspace(0.01, 2.0, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        selected = cv_bandwidth(ds, grid=grid)
+        scores = [cv_criterion(ds, Bandwidth(np.array(h))) for h in itertools.product(grid, repeat=2)]
+    assert np.all(selected.h > 0.0)
+    assert not np.any(np.isnan(scores))
+    assert np.any(np.isfinite(scores))
+    # The smallest candidate does underflow: some neighborhoods lose all mass.
+    assert np.any(gaussian_weight_matrix(ds, Bandwidth(np.full(2, grid[0]))).sum(axis=1) == 0.0)
 
 
 class TestCvBandwidth:

@@ -11,10 +11,59 @@ from smoothcure import (
     kaplan_meier,
     presmooth_all,
 )
+from smoothcure.kernels import kernel_weight_matrix
 
-from conftest import build_dataset, random_dataset
+from conftest import build_dataset, hostile_kernel_cases, random_dataset
 
 WIDE = Bandwidth(np.array([1000.0]))
+
+
+def direct_masses(w, ds):
+    """Event and at-risk masses from the n x T indicator tables (the oracle)."""
+    times = np.unique(ds.y[ds.delta == 1])
+    event_mask = ((ds.y[:, None] == times[None, :]) & (ds.delta[:, None] == 1)).astype(float)
+    risk_mask = (ds.y[:, None] >= times[None, :]).astype(float)
+    return times, w @ event_mask, w @ risk_mask
+
+
+def direct_presmooth(ds, b):
+    """The n x T formula presmooth_all replaced, kept as an oracle."""
+    w = kernel_weight_matrix(ds.x, ds.x, b, ds.meta)
+    w = w / w.sum(axis=1)[:, None]
+    _, h1, at_risk = direct_masses(w, ds)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        factors = np.where(at_risk > 0.0, 1.0 - h1 / np.where(at_risk > 0.0, at_risk, 1.0), 1.0)
+    return np.clip(np.prod(np.clip(factors, 0.0, 1.0), axis=1), 0.0, 1.0)
+
+
+class TestDirectFormulaOracle:
+    @pytest.mark.parametrize("case", range(5))
+    def test_presmooth_all(self, rng, case):
+        name, ds, values = hostile_kernel_cases(rng)[case]
+        for h in values:
+            b = Bandwidth(np.full(ds.meta.n_continuous, h))
+            got = presmooth_all(ds, b)
+            assert np.max(np.abs(got - direct_presmooth(ds, b))) <= 1e-12, (name, h)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_conditional_subdist(self, rng, case):
+        name, ds, values = hostile_kernel_cases(rng)[case]
+        for h in values:
+            b = Bandwidth(np.full(ds.meta.n_continuous, h))
+            w = kernel_weight_matrix(ds.x, ds.x, b, ds.meta)
+            times, h1, at_risk = direct_masses(w / w.sum(axis=1)[:, None], ds)
+            for i in range(0, ds.n, 3):
+                sub = conditional_subdist(ds, ds.x[i], b)
+                assert np.array_equal(sub.event_times, times)
+                assert np.max(np.abs(sub.h1_mass - h1[i])) <= 1e-12, (name, h, i)
+                assert np.max(np.abs(sub.at_risk - at_risk[i])) <= 1e-12, (name, h, i)
+
+    def test_every_tied_event_at_the_last_time(self):
+        # The last event time has two tied events and a tied censored
+        # subject: its factor is 1 - 2/3 under uniform weights.
+        ds = build_dataset([1, 2, 2, 2], [1, 1, 0, 1], x_cols=[[0.0, 0.1, 0.2, 0.3]])
+        expected = (1 - 1 / 4) * (1 - 2 / 3)
+        assert np.allclose(presmooth_all(ds, WIDE), expected, atol=1e-15)
 
 
 class TestConditionalSubdist:
