@@ -81,6 +81,8 @@ def kernel_weight_matrix(
     _check_bandwidth(b, meta)
     cont = meta.continuous_columns()
     disc = meta.discrete_columns()
+    # In place, and without a matrix of ones: each fresh n x n temporary
+    # costs a pass and page faults, and sets the peak memory of presmoothing.
     w = None
     for h_j, col in zip(b.h, cont):
         u = np.subtract(x_data[None, :, col], x_query[:, None, col])
@@ -192,7 +194,11 @@ def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
     Gaussian reference kernel: that is the scale convention of the standard
     conditional-distribution bandwidth selectors this mirrors, and it is the
     scale the cap of 2 on standardized covariates presumes.  Subjects whose
-    leave-one-out neighborhood carries no kernel mass are skipped.
+    leave-one-out neighborhood carries no kernel mass are skipped.  The
+    weights leave out the Gaussian constants, which cancel in the estimate,
+    so a neighborhood whose mass is positive but subnormal (a lone neighbor
+    at exp(-744.5), say) counts, though the density scaled by
+    1/(sqrt(2 pi) h) would round it to zero.
 
     With the subjects sorted by follow-up time every estimate of H is a
     running sum along a row, so the score costs O(n^2) time and memory (a

@@ -55,18 +55,6 @@ def _time_ordered_weights(x_query: np.ndarray, ds: SurvivalDataset, b: Bandwidth
     return w, np.cumsum(w, axis=1), ds.y[order], ds.delta[order] == 1
 
 
-def _survival_products(h1: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
-    """Row-wise product of (1 - h1/at_risk), skipping zero-mass times.
-
-    Factors are clamped into [0, 1] before multiplying: kernel-weight
-    cancellation can leave tiny negative masses.
-    """
-    with np.errstate(invalid="ignore", divide="ignore"):
-        factors = np.where(at_risk > 0.0, 1.0 - h1 / np.where(at_risk > 0.0, at_risk, 1.0), 1.0)
-    np.clip(factors, 0.0, 1.0, out=factors)
-    return np.clip(np.prod(factors, axis=-1), 0.0, 1.0)
-
-
 def conditional_subdist(ds: SurvivalDataset, x: np.ndarray, b: Bandwidth) -> ConditionalSubdist:
     """Normalized kernel-weighted subdistribution of (Y, delta) at point x."""
     w, at_risk, y, event_col = _time_ordered_weights(np.asarray(x, dtype=float)[None, :], ds, b)
@@ -79,30 +67,37 @@ def conditional_subdist(ds: SurvivalDataset, x: np.ndarray, b: Bandwidth) -> Con
     return ConditionalSubdist(times, h1 / total, at_risk[0, last_at_risk] / total)
 
 
+def _cure_probs(x_query: np.ndarray, ds: SurvivalDataset, b: Bandwidth) -> np.ndarray:
+    """Cure-probability estimates at the rows of ``x_query``.
+
+    Each event column j contributes the factor 1 - w_j / S_j, where S_j is
+    the running weight sum up to j in the column order of
+    :func:`_time_ordered_weights`; over the tied events of one time these
+    telescope to 1 - (event mass) / (at-risk mass).  The estimates are thus
+    products along the rows of two query x n matrices, with no table over
+    the event times.  Each factor lies in [0, 1] exactly, since the running
+    sum at j already contains w_j, and a column with no mass up to it gives 1.
+    """
+    w, at_risk, _, event_col = _time_ordered_weights(x_query, ds, b)
+    if np.any(at_risk[:, -1] <= 0.0):
+        raise EmptyNeighborhoodError("all kernel weights vanish at a query point")
+    np.divide(w, at_risk, out=w, where=at_risk > 0.0)
+    np.subtract(1.0, w, out=w)
+    return np.prod(w, axis=1, where=event_col)
+
+
 def estimate_cure_prob(ds: SurvivalDataset, x: np.ndarray, b: Bandwidth) -> CureProbEstimate:
     """Cure probability at x: product over event times of local survival factors."""
-    sub = conditional_subdist(ds, x, b)
-    value = float(_survival_products(sub.h1_mass, sub.at_risk))
-    return CureProbEstimate(value, np.asarray(x, dtype=float), b)
+    x = np.asarray(x, dtype=float)
+    return CureProbEstimate(float(_cure_probs(x[None, :], ds, b)[0]), x, b)
 
 
 def presmooth_all(ds: SurvivalDataset, b: Bandwidth) -> np.ndarray:
     """Cure-probability estimates at every sample point, as a length-n vector.
 
     Evaluation at a sample point always has positive kernel mass (the point
-    weights itself), so no neighborhood can be empty here.
-
-    Each event column j contributes the factor 1 - w_j / S_j, where S_j is
-    the running weight sum up to j in the column order of
-    :func:`_time_ordered_weights`; over the tied events of one time these
-    telescope to 1 - (event mass) / (at-risk mass).  The estimate is thus a
-    product along the rows of two n x n matrices: O(n^2) time and memory,
-    with no n x T table.  Each factor lies in [0, 1] exactly, since the
-    running sum at j already contains w_j.
+    weights itself), so no neighborhood can be empty here.  The estimates
+    come from :func:`_cure_probs` in O(n^2) time and memory (two n x n
+    matrices), for any number of event times.
     """
-    w, at_risk, _, event_col = _time_ordered_weights(ds.x, ds, b)
-    if np.any(at_risk[:, -1] <= 0.0):
-        raise EmptyNeighborhoodError("zero kernel mass at a sample point")
-    np.divide(w, at_risk, out=w, where=at_risk > 0.0)
-    np.subtract(1.0, w, out=w)
-    return np.prod(w, axis=1, where=event_col)
+    return _cure_probs(ds.x, ds, b)

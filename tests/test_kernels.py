@@ -163,6 +163,17 @@ class TestCvCriterionOracle:
         # all, and mass far from underflow.
         assert np.any(mass == 0.0) and np.min(mass[mass > 0.0]) > 1e-100
 
+    def test_subnormal_mass_counts(self):
+        # Each subject's only neighbor has weight exp(-744.5), a subnormal
+        # number; the density 1/sqrt(2 pi) times it rounds to 0, so the
+        # direct formula skips both rows.  Without the constants the mass
+        # stays positive, and each row scores its neighbor's point mass:
+        # a residual of 1 at the earlier event time.
+        ds = build_dataset([1.0, 2.0], [1, 1], x_cols=[[0.0, math.sqrt(1489.0)]])
+        b = Bandwidth(np.array([1.0]))
+        assert gaussian_weight_matrix(ds, b).sum() == 0.0
+        assert cv_criterion(ds, b) == 2.0
+
     def test_tiny_bandwidth_keeps_exact_ties(self, rng):
         # At h = 1e-200 only identical covariate values carry weight; the
         # resample has such duplicates.
