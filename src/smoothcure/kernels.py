@@ -109,19 +109,30 @@ def default_grid(lo: float = 0.05, hi: float = DEFAULT_CAP, num: int = 30) -> np
     return np.geomspace(lo, hi, num)
 
 
+# The n x n computations run a block of rows at a time, about 256 KB of
+# doubles per buffer: every pass over a block stays in a core's private
+# cache, and no call allocates an n x n float array (18 MB at n = 1500,
+# mapped afresh, page faults included, on every call).
+_BLOCK_BYTES = 1 << 18
+
+
+def _block_rows(n: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * n))
+
+
 @dataclass(frozen=True)
 class _CvTable:
-    """Bandwidth-free part of the criterion, rows and columns in time order.
+    """Bandwidth-free part of the criterion, subjects in time order.
 
-    ``sq_dist`` holds one n x n table of squared differences per continuous
-    covariate; ``match`` flags the pairs other than i = j that agree on every
-    discrete covariate and is ``None`` when there are none.  ``event_last``
-    is 1 at the last sorted position of each distinct event time and 0
-    elsewhere, and ``start`` is each subject's first sorted position with
-    ``y >= Y_i``.
+    ``x_cont`` holds the continuous covariates of the sorted subjects, one
+    row per covariate; ``match`` flags the pairs other than i = j that agree
+    on every discrete covariate and is ``None`` when there are none.
+    ``event_last`` is 1 at the last sorted position of each distinct event
+    time and 0 elsewhere, and ``start`` is each subject's first sorted
+    position with ``y >= Y_i``.
     """
 
-    sq_dist: tuple[np.ndarray, ...]
+    x_cont: np.ndarray
     match: np.ndarray | None
     event_last: np.ndarray
     start: np.ndarray
@@ -141,7 +152,7 @@ def _cv_table(ds: SurvivalDataset) -> _CvTable:
     if match is not None:
         np.fill_diagonal(match, False)
     return _CvTable(
-        sq_dist=tuple(np.square(x[:, None, col] - x[None, :, col]) for col in ds.meta.continuous_columns()),
+        x_cont=np.ascontiguousarray(x[:, ds.meta.continuous_columns()].T),
         match=match,
         event_last=event_last,
         start=np.searchsorted(y, y, side="left"),
@@ -149,40 +160,57 @@ def _cv_table(ds: SurvivalDataset) -> _CvTable:
 
 
 def _cv_score(table: _CvTable, h: np.ndarray, work: np.ndarray) -> float:
-    """Criterion of one candidate, computed in place in the n x n buffer ``work``.
+    """Criterion of one candidate, computed block of rows by block of rows.
 
-    The Gaussian constants cancel in the Nadaraya-Watson ratio, so row i
-    holds the weights exp(-sum_c D_c^2 / (2 h_c^2)) in time order.  Their
-    running sum, less the row total from position ``start[i]`` on and
-    divided by that total, is H(t | X_i) - 1{Y_i <= t} at every sorted
-    position; the squares at the event-time positions sum to the residual.
+    ``work`` is a (2, rows, n) buffer from :func:`_cv_work`; the squared
+    distances are formed in it block by block.  The Gaussian constants
+    cancel in the Nadaraya-Watson ratio, so row i holds the weights
+    exp(-sum_c D_c^2 / (2 h_c^2)) in time order.  Their running sum, less
+    the row total from position ``start[i]`` on and divided by that total,
+    is H(t | X_i) - 1{Y_i <= t} at every sorted position; the squares at the
+    event-time positions sum to the residual.
     """
-    if table.sq_dist:
-        # The scale stays finite however small h is, so a zero distance
-        # keeps weight 1 instead of becoming 0 * inf.
-        with np.errstate(divide="ignore", over="ignore"):
-            scale = np.maximum(-0.5 / np.square(h), -np.finfo(float).max)
-            np.multiply(table.sq_dist[0], scale[0], out=work)
-            for d, s in zip(table.sq_dist[1:], scale[1:]):
-                work += d * s
-    else:
-        work.fill(0.0)
-    np.exp(work, out=work)
-    if table.match is None:
-        np.fill_diagonal(work, 0.0)
-    else:
-        work *= table.match
-    den = work.sum(axis=1)
+    n = table.start.size
+    den = np.empty(n)
+    resid = np.empty(n)
+    step = work.shape[1]
+    # The scale stays finite however small h is, so a zero distance keeps
+    # weight 1 instead of becoming 0 * inf; D^2 times it may overflow to
+    # -inf, which is weight 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = np.maximum(-0.5 / np.square(h), -np.finfo(float).max)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            w, tmp = work[0, : hi - lo], work[1, : hi - lo]
+            if not len(table.x_cont):
+                w.fill(0.0)
+            for c, (xc, s) in enumerate(zip(table.x_cont, scale)):
+                part = tmp if c else w
+                np.subtract(xc[lo:hi, None], xc[None, :], out=part)
+                np.square(part, out=part)
+                part *= s
+                if c:
+                    w += part
+            np.exp(w, out=w)
+            rows = np.arange(hi - lo)
+            if table.match is None:
+                w[rows, rows + lo] = 0.0
+            else:
+                w *= table.match[lo:hi]
+            mass = w.sum(axis=1, out=den[lo:hi])
+            w[rows, table.start[lo:hi]] -= mass
+            np.cumsum(w, axis=1, out=w)
+            # Normalize before squaring: den**2 can underflow where den does not.
+            w /= np.where(mass > 0.0, mass, 1.0)[:, None]
+            np.einsum("ij,ij,j->i", w, w, table.event_last, out=resid[lo:hi])
     keep = den > 0.0
     if not np.any(keep):
         return np.inf
-    rows = np.arange(den.size)
-    work[rows, table.start] -= den
-    np.cumsum(work, axis=1, out=work)
-    # Normalize before squaring: den**2 can underflow where den does not.
-    work /= np.where(keep, den, 1.0)[:, None]
-    resid = np.einsum("ij,ij,j->i", work, work, table.event_last)
     return float(np.sum(resid[keep]))
+
+
+def _cv_work(n: int) -> np.ndarray:
+    return np.empty((2, min(n, _block_rows(n)), n))
 
 
 def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
@@ -201,12 +229,13 @@ def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
     1/(sqrt(2 pi) h) would round it to zero.
 
     With the subjects sorted by follow-up time every estimate of H is a
-    running sum along a row, so the score costs O(n^2) time and memory (a
-    few n x n arrays) for any number of event times; no n x T table is
-    formed.
+    running sum along a row, so the score costs O(n^2) time for any number
+    of event times; no n x T table is formed.  Memory is O(n) beyond two
+    fixed-size blocks of rows, plus an n x n boolean mask when there are
+    discrete covariates.
     """
     _check_bandwidth(b, ds.meta)
-    return _cv_score(_cv_table(ds), b.h, np.empty((ds.n, ds.n)))
+    return _cv_score(_cv_table(ds), b.h, _cv_work(ds.n))
 
 
 def cv_bandwidth(
@@ -224,10 +253,11 @@ def cv_bandwidth(
     compact-support product kernel of the estimators.  The criterion is
     deterministic.
 
-    The bandwidth-free part of the criterion (time order, squared covariate
-    distances, discrete-match mask) is built once, and each candidate is
-    scored in one reused n x n buffer: O(n^2) memory, and O(n^2) time per
-    candidate.
+    The bandwidth-free part of the criterion (time order, sorted covariates,
+    discrete-match mask) is built once, and each candidate is scored block of
+    rows by block of rows in one reused buffer: O(n^2) time per candidate,
+    and O(n) memory beyond that buffer and the n x n boolean mask of the
+    discrete covariates.
     """
     if not ds.meta.standardized:
         raise ConfigurationError("bandwidth selection expects standardized covariates")
@@ -242,7 +272,7 @@ def cv_bandwidth(
         raise ConfigurationError("bandwidth grid is empty")
 
     table = _cv_table(ds)
-    work = np.empty((ds.n, ds.n))
+    work = _cv_work(ds.n)
     best: tuple[float, ...] | None = None
     best_score = np.inf
     for combo in itertools.product(grid, repeat=n_cont):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import SurvivalDataset
 from .errors import EmptyNeighborhoodError
-from .kernels import Bandwidth, kernel_weight_matrix
+from .kernels import Bandwidth, _block_rows, kernel_weight_matrix
 
 __all__ = [
     "ConditionalSubdist",
@@ -42,29 +42,28 @@ class CureProbEstimate:
     bandwidth: Bandwidth
 
 
-def _time_ordered_weights(x_query: np.ndarray, ds: SurvivalDataset, b: Bandwidth):
-    """Kernel weights with the data columns in decreasing time order.
+def _time_order(ds: SurvivalDataset) -> np.ndarray:
+    """Order of the data in decreasing time, events after censored ties.
 
-    Within a tied time the events come last, so the running sum along a row
-    up to the last column at or above t is the at-risk mass at t.  Returns
-    (weights, at_risk, y, event_col): ``at_risk`` is that running sum, and
-    ``y`` and ``event_col`` are the times and event flags of the columns.
+    With the kernel weights in this column order, the running sum along a
+    row up to the last column at or above t is the at-risk mass at t.
     """
-    order = np.lexsort((1 - ds.delta, ds.y))[::-1]
-    w = kernel_weight_matrix(x_query, ds.x[order], b, ds.meta)
-    return w, np.cumsum(w, axis=1), ds.y[order], ds.delta[order] == 1
+    return np.lexsort((1 - ds.delta, ds.y))[::-1]
 
 
 def conditional_subdist(ds: SurvivalDataset, x: np.ndarray, b: Bandwidth) -> ConditionalSubdist:
     """Normalized kernel-weighted subdistribution of (Y, delta) at point x."""
-    w, at_risk, y, event_col = _time_ordered_weights(np.asarray(x, dtype=float)[None, :], ds, b)
-    total = at_risk[0, -1]
+    order = _time_order(ds)
+    y, event_col = ds.y[order], ds.delta[order] == 1
+    w = kernel_weight_matrix(np.asarray(x, dtype=float)[None, :], ds.x[order], b, ds.meta)[0]
+    at_risk = np.cumsum(w)
+    total = at_risk[-1]
     if not total > 0.0:
         raise EmptyNeighborhoodError("all kernel weights vanish at the requested point")
     times, k = np.unique(y[event_col], return_inverse=True)
-    h1 = np.bincount(k, weights=w[0, event_col], minlength=times.size)
+    h1 = np.bincount(k, weights=w[event_col], minlength=times.size)
     last_at_risk = np.searchsorted(-y, -times, side="right") - 1
-    return ConditionalSubdist(times, h1 / total, at_risk[0, last_at_risk] / total)
+    return ConditionalSubdist(times, h1 / total, at_risk[last_at_risk] / total)
 
 
 def _cure_probs(x_query: np.ndarray, ds: SurvivalDataset, b: Bandwidth) -> np.ndarray:
@@ -72,18 +71,27 @@ def _cure_probs(x_query: np.ndarray, ds: SurvivalDataset, b: Bandwidth) -> np.nd
 
     Each event column j contributes the factor 1 - w_j / S_j, where S_j is
     the running weight sum up to j in the column order of
-    :func:`_time_ordered_weights`; over the tied events of one time these
-    telescope to 1 - (event mass) / (at-risk mass).  The estimates are thus
-    products along the rows of two query x n matrices, with no table over
-    the event times.  Each factor lies in [0, 1] exactly, since the running
-    sum at j already contains w_j, and a column with no mass up to it gives 1.
+    :func:`_time_order`; over the tied events of one time these telescope
+    to 1 - (event mass) / (at-risk mass).  The estimates are thus products
+    along the rows of the query x n weight matrix, with no table over the
+    event times; it is built a block of rows at a time, so only a few
+    cache-sized blocks are in memory.  Each factor lies in [0, 1] exactly,
+    since the running sum at j already contains w_j, and a column with no
+    mass up to it gives 1.
     """
-    w, at_risk, _, event_col = _time_ordered_weights(x_query, ds, b)
-    if np.any(at_risk[:, -1] <= 0.0):
-        raise EmptyNeighborhoodError("all kernel weights vanish at a query point")
-    np.divide(w, at_risk, out=w, where=at_risk > 0.0)
-    np.subtract(1.0, w, out=w)
-    return np.prod(w, axis=1, where=event_col)
+    order = _time_order(ds)
+    x_data, event_col = ds.x[order], ds.delta[order] == 1
+    out = np.empty(x_query.shape[0])
+    step = _block_rows(ds.n)
+    for lo in range(0, out.size, step):
+        w = kernel_weight_matrix(x_query[lo : lo + step], x_data, b, ds.meta)
+        at_risk = np.cumsum(w, axis=1)
+        if np.any(at_risk[:, -1] <= 0.0):
+            raise EmptyNeighborhoodError("all kernel weights vanish at a query point")
+        np.divide(w, at_risk, out=w, where=at_risk > 0.0)
+        np.subtract(1.0, w, out=w)
+        np.prod(w, axis=1, where=event_col, out=out[lo : lo + step])
+    return out
 
 
 def estimate_cure_prob(ds: SurvivalDataset, x: np.ndarray, b: Bandwidth) -> CureProbEstimate:
@@ -97,7 +105,7 @@ def presmooth_all(ds: SurvivalDataset, b: Bandwidth) -> np.ndarray:
 
     Evaluation at a sample point always has positive kernel mass (the point
     weights itself), so no neighborhood can be empty here.  The estimates
-    come from :func:`_cure_probs` in O(n^2) time and memory (two n x n
-    matrices), for any number of event times.
+    come from :func:`_cure_probs` in O(n^2) time, for any number of event
+    times, and O(n) memory beyond a few fixed-size blocks.
     """
     return _cure_probs(ds.x, ds, b)

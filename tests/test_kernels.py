@@ -17,6 +17,7 @@ from smoothcure import (
     kernel_weight,
     standardize_continuous,
 )
+from smoothcure import kernels
 from smoothcure.kernels import cv_criterion, kernel_weight_matrix
 
 from conftest import build_dataset, hostile_kernel_cases, random_dataset
@@ -153,6 +154,19 @@ class TestCvCriterionOracle:
             b = Bandwidth(np.full(ds.meta.n_continuous, h))
             expected = direct_cv_criterion(ds, b)
             assert math.isfinite(expected), name
+            assert cv_criterion(ds, b) == pytest.approx(expected, rel=1e-12, abs=0.0), (name, h)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("case", range(5))
+    def test_row_blocks_match_direct_formula(self, rng, monkeypatch, case, rows):
+        # The score is built a block of rows at a time; blocks of 1 and of 7
+        # rows (most cases end on a partial block) give the same criterion.
+        name, ds, values = hostile_kernel_cases(rng)[case]
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * ds.n * rows)
+        assert kernels._block_rows(ds.n) == rows
+        for h in values:
+            b = Bandwidth(np.full(ds.meta.n_continuous, h))
+            expected = direct_cv_criterion(ds, b)
             assert cv_criterion(ds, b) == pytest.approx(expected, rel=1e-12, abs=0.0), (name, h)
 
     def test_empty_neighborhoods_are_skipped(self, rng):

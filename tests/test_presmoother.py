@@ -11,6 +11,7 @@ from smoothcure import (
     kaplan_meier,
     presmooth_all,
 )
+from smoothcure import kernels
 from smoothcure.kernels import kernel_weight_matrix
 
 from conftest import build_dataset, hostile_kernel_cases, random_dataset
@@ -40,6 +41,18 @@ class TestDirectFormulaOracle:
     @pytest.mark.parametrize("case", range(5))
     def test_presmooth_all(self, rng, case):
         name, ds, values = hostile_kernel_cases(rng)[case]
+        for h in values:
+            b = Bandwidth(np.full(ds.meta.n_continuous, h))
+            got = presmooth_all(ds, b)
+            assert np.max(np.abs(got - direct_presmooth(ds, b))) <= 1e-12, (name, h)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("case", range(5))
+    def test_presmooth_all_in_row_blocks(self, rng, monkeypatch, case, rows):
+        # The weights are built a block of query rows at a time; blocks of 1
+        # and of 7 rows (most cases end on a partial block) change nothing.
+        name, ds, values = hostile_kernel_cases(rng)[case]
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * ds.n * rows)
         for h in values:
             b = Bandwidth(np.full(ds.meta.n_continuous, h))
             got = presmooth_all(ds, b)
