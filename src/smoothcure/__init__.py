@@ -43,7 +43,7 @@ from .inference import (
     resample_indices,
     wald_test,
 )
-from .kernels import Bandwidth, cv_bandwidth, default_grid, epanechnikov, kernel_weight
+from .kernels import Bandwidth, cv_bandwidth, default_grid, epanechnikov
 from .latency_cox import (
     LatencyFit,
     StepFunction,
@@ -110,7 +110,6 @@ __all__ = [
     "fit_presmoothing",
     "generate",
     "kaplan_meier",
-    "kernel_weight",
     "load_csv",
     "logistic_phi",
     "make_scenario",

@@ -14,11 +14,11 @@ import json
 import sys
 
 import numpy as np
-from scipy.special import expit
 
 from . import __version__
 from .data import CsvSchema, load_csv
 from .errors import ConfigurationError, CureModelError
+from .incidence import expit
 from .inference import bootstrap_se, param_names, prediction_error
 from .kernels import Bandwidth, default_grid
 from .latency_cox import compute_weights

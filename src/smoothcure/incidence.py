@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import SingularHessianError
 from .newton import damped_newton
@@ -25,6 +24,12 @@ __all__ = [
     "soft_label_loglik",
     "soft_label_score",
 ]
+
+
+def expit(x):
+    """Logistic function 1 / (1 + exp(-x)); 0, with no warning, where exp(-x) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
 def logistic_phi(gamma: np.ndarray, x: np.ndarray):

@@ -15,10 +15,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import SurvivalDataset
 from .errors import CureModelError, InferenceError
+from .incidence import expit
 from .latency_cox import compute_weights
 from .mle_baseline import CureModelFit
 from .pipeline import fit_cure_model

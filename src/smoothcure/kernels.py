@@ -25,7 +25,6 @@ __all__ = [
     "cv_criterion",
     "default_grid",
     "epanechnikov",
-    "kernel_weight",
     "kernel_weight_matrix",
 ]
 
@@ -97,11 +96,6 @@ def kernel_weight_matrix(
     return w
 
 
-def kernel_weight(xi: np.ndarray, x: np.ndarray, b: Bandwidth, meta: CovariateMeta) -> float:
-    """Weight of observation ``xi`` at query point ``x`` (both full x rows)."""
-    return float(kernel_weight_matrix(np.asarray(x)[None, :], np.asarray(xi)[None, :], b, meta)[0, 0])
-
-
 def default_grid(lo: float = 0.05, hi: float = DEFAULT_CAP, num: int = 30) -> np.ndarray:
     """Logarithmically spaced candidate bandwidths on the standardized scale."""
     if not (0 < lo < hi) or num < 1:
@@ -110,9 +104,10 @@ def default_grid(lo: float = 0.05, hi: float = DEFAULT_CAP, num: int = 30) -> np
 
 
 # The n x n computations run a block of rows at a time, about 256 KB of
-# doubles per buffer: every pass over a block stays in a core's private
-# cache, and no call allocates an n x n float array (18 MB at n = 1500,
-# mapped afresh, page faults included, on every call).
+# doubles per buffer (a batch of G candidates takes 1/G of the rows): every
+# pass over a block stays in a core's private cache, and no call allocates
+# an n x n float array (18 MB at n = 1500, mapped afresh, page faults
+# included, on every call).
 _BLOCK_BYTES = 1 << 18
 
 
@@ -159,58 +154,99 @@ def _cv_table(ds: SurvivalDataset) -> _CvTable:
     )
 
 
-def _cv_score(table: _CvTable, h: np.ndarray, work: np.ndarray) -> float:
-    """Criterion of one candidate, computed block of rows by block of rows.
+def _cv_scores(table: _CvTable, grids: list[np.ndarray]) -> np.ndarray:
+    """Criterion of every candidate in the product of per-covariate grids.
 
-    ``work`` is a (2, rows, n) buffer from :func:`_cv_work`; the squared
-    distances are formed in it block by block.  The Gaussian constants
-    cancel in the Nadaraya-Watson ratio, so row i holds the weights
+    ``grids`` holds one array of values per continuous covariate, and the
+    scores come in :func:`itertools.product` order (the last covariate's
+    value varies fastest).  The Gaussian constants cancel in the
+    Nadaraya-Watson ratio, so row i of a candidate holds the weights
     exp(-sum_c D_c^2 / (2 h_c^2)) in time order.  Their running sum, less
     the row total from position ``start[i]`` on and divided by that total,
     is H(t | X_i) - 1{Y_i <= t} at every sorted position; the squares at the
-    event-time positions sum to the residual.
+    event-time positions sum to the residual.  A candidate under which no
+    row has leave-one-out mass scores +inf.
+
+    Rows are scored a block at a time, with the last covariate's grid as a
+    batch axis.  Each block forms its squared distances once per covariate
+    and the last covariate's factors exp(-D^2 / (2 h^2)) once per grid
+    value; every combination of the other covariates multiplies them by its
+    own factor.  Per-candidate totals are the only arrays of length K.
     """
     n = table.start.size
-    den = np.empty(n)
-    resid = np.empty(n)
-    step = work.shape[1]
+    n_cont = len(grids)
     # The scale stays finite however small h is, so a zero distance keeps
     # weight 1 instead of becoming 0 * inf; D^2 times it may overflow to
     # -inf, which is weight 0.
     with np.errstate(divide="ignore", over="ignore"):
-        scale = np.maximum(-0.5 / np.square(h), -np.finfo(float).max)
+        scales = [
+            np.maximum(-0.5 / np.square(np.asarray(g, dtype=float)), -np.finfo(float).max)
+            for g in grids
+        ]
+    batch = scales[-1] if scales else np.zeros(1)
+    outer = list(itertools.product(*scales[:-1]))
+    g = batch.size
+    step = min(n, _block_rows(g * n))
+    d2 = np.empty((n_cont, step, n))
+    outer_work = np.empty((2, step, n)) if n_cont > 1 else None
+    factors = np.empty(g * step * n)
+    weights = np.empty_like(factors) if n_cont > 1 else factors
+    mass_work = np.empty(g * step)
+    resid_work = np.empty(g * step)
+    block_sum = np.empty((len(outer), g))
+    block_max = np.empty((len(outer), g))
+    total = np.zeros(block_sum.size)
+    carry = np.zeros(block_sum.size)
+    has_mass = np.zeros(block_sum.size, dtype=bool)
+    with np.errstate(over="ignore"):
         for lo in range(0, n, step):
             hi = min(lo + step, n)
-            w, tmp = work[0, : hi - lo], work[1, : hi - lo]
-            if not len(table.x_cont):
-                w.fill(0.0)
-            for c, (xc, s) in enumerate(zip(table.x_cont, scale)):
-                part = tmp if c else w
-                np.subtract(xc[lo:hi, None], xc[None, :], out=part)
-                np.square(part, out=part)
-                part *= s
-                if c:
-                    w += part
-            np.exp(w, out=w)
-            rows = np.arange(hi - lo)
-            if table.match is None:
-                w[rows, rows + lo] = 0.0
+            m = hi - lo
+            for c, xc in enumerate(table.x_cont):
+                np.subtract(xc[lo:hi, None], xc[None, :], out=d2[c, :m])
+                np.square(d2[c, :m], out=d2[c, :m])
+            # Contiguous views, so a partial last block reshapes freely.
+            f = factors[: g * m * n].reshape(g, m, n)
+            if n_cont:
+                np.multiply(d2[-1, :m], batch[:, None, None], out=f)
+                np.exp(f, out=f)
             else:
-                w *= table.match[lo:hi]
-            mass = w.sum(axis=1, out=den[lo:hi])
-            w[rows, table.start[lo:hi]] -= mass
-            np.cumsum(w, axis=1, out=w)
-            # Normalize before squaring: den**2 can underflow where den does not.
-            w /= np.where(mass > 0.0, mass, 1.0)[:, None]
-            np.einsum("ij,ij,j->i", w, w, table.event_last, out=resid[lo:hi])
-    keep = den > 0.0
-    if not np.any(keep):
-        return np.inf
-    return float(np.sum(resid[keep]))
-
-
-def _cv_work(n: int) -> np.ndarray:
-    return np.empty((2, min(n, _block_rows(n)), n))
+                f.fill(1.0)
+            rows = np.arange(m)
+            if table.match is None:
+                f[:, rows, rows + lo] = 0.0
+            else:
+                f *= table.match[lo:hi]
+            at = ((np.arange(g) * m)[:, None] + rows) * n + table.start[lo:hi]
+            at = at.ravel()
+            for o, outer_scale in enumerate(outer):
+                w = f
+                if outer_scale:
+                    e, part = outer_work[0, :m], outer_work[1, :m]
+                    for c, s in enumerate(outer_scale):
+                        np.multiply(d2[c, :m], s, out=part if c else e)
+                        if c:
+                            e += part
+                    np.exp(e, out=e)
+                    w = np.multiply(f, e, out=weights[: g * m * n].reshape(g, m, n))
+                w = w.reshape(g * m, n)
+                mass = w.sum(axis=1, out=mass_work[: g * m])
+                w.reshape(-1)[at] -= mass
+                np.cumsum(w, axis=1, out=w)
+                # Normalize before squaring: mass**2 can underflow where mass does not.
+                w /= np.where(mass > 0.0, mass, 1.0)[:, None]
+                resid = np.einsum("ij,ij,j->i", w, w, table.event_last, out=resid_work[: g * m])
+                # A row without mass has all-zero weights and a residual of 0.
+                resid.reshape(g, m).sum(axis=1, out=block_sum[o])
+                mass.reshape(g, m).max(axis=1, out=block_max[o])
+            # Compensated sum over blocks, so the totals do not depend on
+            # the block size beyond rounding.
+            y = block_sum.ravel() - carry
+            t = total + y
+            carry = (t - total) - y
+            total = t
+            has_mass |= block_max.ravel() > 0.0
+    return np.where(has_mass, total, np.inf)
 
 
 def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
@@ -230,12 +266,13 @@ def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
 
     With the subjects sorted by follow-up time every estimate of H is a
     running sum along a row, so the score costs O(n^2) time for any number
-    of event times; no n x T table is formed.  Memory is O(n) beyond two
-    fixed-size blocks of rows, plus an n x n boolean mask when there are
-    discrete covariates.
+    of event times; no n x T table is formed.  This is the one-candidate
+    case of the scan :func:`cv_bandwidth` makes.  Memory is O(n) beyond a
+    few blocks of rows of about 256 KB each, plus an n x n boolean mask when
+    there are discrete covariates.
     """
     _check_bandwidth(b, ds.meta)
-    return _cv_score(_cv_table(ds), b.h, _cv_work(ds.n))
+    return float(_cv_scores(_cv_table(ds), list(b.h[:, None]))[0])
 
 
 def cv_bandwidth(
@@ -254,10 +291,15 @@ def cv_bandwidth(
     deterministic.
 
     The bandwidth-free part of the criterion (time order, sorted covariates,
-    discrete-match mask) is built once, and each candidate is scored block of
-    rows by block of rows in one reused buffer: O(n^2) time per candidate,
-    and O(n) memory beyond that buffer and the n x n boolean mask of the
-    discrete covariates.
+    discrete-match mask) is built once.  All candidates are then scored
+    together, a block of rows at a time, with the last covariate's grid of
+    G values as a batch axis: a block forms its squared distances once per
+    covariate and the last covariate's Gaussian factors once per value, and
+    each combination of the other covariates multiplies those factors by its
+    own.  A G x G grid thus takes 2G exponentials per pair of subjects
+    instead of G^2.  Time is O(n^2) per candidate.  Memory is O(K + n) for
+    K candidates beyond a few blocks of about 256 KB each, plus the n x n
+    boolean mask of the discrete covariates.
     """
     if not ds.meta.standardized:
         raise ConfigurationError("bandwidth selection expects standardized covariates")
@@ -271,12 +313,10 @@ def cv_bandwidth(
     if grid.size == 0:
         raise ConfigurationError("bandwidth grid is empty")
 
-    table = _cv_table(ds)
-    work = _cv_work(ds.n)
+    scores = _cv_scores(_cv_table(ds), [grid] * n_cont)
     best: tuple[float, ...] | None = None
     best_score = np.inf
-    for combo in itertools.product(grid, repeat=n_cont):
-        score = _cv_score(table, np.asarray(combo), work)
+    for combo, score in zip(itertools.product(grid, repeat=n_cont), scores):
         if score < best_score:
             best_score = score
             best = combo

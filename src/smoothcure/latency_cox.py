@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import expit
 
 from .data import SurvivalDataset
 from .errors import NumericalError, SingularHessianError
+from .incidence import expit
 from .newton import damped_newton
 
 __all__ = [

@@ -21,10 +21,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .data import CovariateMeta, SurvivalDataset
 from .errors import ConfigurationError
+from .incidence import expit
 from .mle_baseline import fit_mle_em
 from .pipeline import fit_presmoothing
 

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smoothcure
 from smoothcure import SingularHessianError, fit_incidence, logistic_phi, soft_label_loglik
-from smoothcure.incidence import soft_label_hessian, soft_label_score
+from smoothcure.incidence import expit, soft_label_hessian, soft_label_score
 
 
 def random_design(rng, n=40, p=2):
@@ -24,6 +30,28 @@ class TestLogisticPhi:
         ll = soft_label_loglik(np.array([-1000.0]), np.array([0.0]), x)
         assert ll == pytest.approx(-1000.0)
         assert 0.0 < logistic_phi(np.array([-50.0]), np.array([1.0])) < 1e-20
+
+
+    def test_expit_saturates_without_warning(self):
+        eta = np.array([-1e308, -800.0, -745.0, -40.0, 0.0, 1.5, 40.0, 800.0, np.inf, -np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phi = expit(eta)
+        assert phi[0] == phi[1] == phi[2] == phi[-1] == 0.0
+        assert phi[4] == 0.5 and phi[6] == phi[7] == phi[8] == 1.0
+        assert phi[3] == pytest.approx(math.exp(-40.0), rel=1e-15)
+        assert phi[5] == pytest.approx(1.0 / (1.0 + math.exp(-1.5)), rel=1e-15)
+
+
+def test_import_leaves_scipy_out():
+    # scipy is a test dependency only: the package must import without it.
+    src = str(Path(smoothcure.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, smoothcure; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestSoftLabelLoglik:

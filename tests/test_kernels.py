@@ -14,7 +14,6 @@ from smoothcure import (
     cv_bandwidth,
     default_grid,
     epanechnikov,
-    kernel_weight,
     standardize_continuous,
 )
 from smoothcure import kernels
@@ -38,6 +37,8 @@ class TestEpanechnikov:
 
 
 class TestKernelWeight:
+    """Single entries of kernel_weight_matrix: W[i, j] is data row j at query row i."""
+
     def setup_method(self):
         self.ds = build_dataset(
             [1, 2, 3], [1, 1, 0],
@@ -47,36 +48,35 @@ class TestKernelWeight:
 
     def test_same_point_unit_bandwidth(self):
         ds = build_dataset([1, 2], [1, 0], x_cols=[[0.3, 0.9]])
-        w = kernel_weight(ds.x[0], ds.x[0], Bandwidth(np.array([1.0])), ds.meta)
-        assert w == pytest.approx(0.75)
+        w = kernel_weight_matrix(ds.x[:1], ds.x[:1], Bandwidth(np.array([1.0])), ds.meta)
+        assert w.shape == (1, 1)
+        assert w[0, 0] == pytest.approx(0.75)
 
     def test_discrete_mismatch_annihilates(self):
-        w = kernel_weight(self.ds.x[0], self.ds.x[1], Bandwidth(np.array([1.0])), self.ds.meta)
-        assert w == 0.0
+        w = kernel_weight_matrix(self.ds.x[1:2], self.ds.x[:1], Bandwidth(np.array([1.0])), self.ds.meta)
+        assert w[0, 0] == 0.0
 
     def test_support_edge(self):
         ds = build_dataset([1, 2], [1, 0], x_cols=[[0.0, 0.5]])
-        w = kernel_weight(ds.x[1], ds.x[0], Bandwidth(np.array([0.5])), ds.meta)
-        assert w == 0.0
+        w = kernel_weight_matrix(ds.x[:1], ds.x[1:], Bandwidth(np.array([0.5])), ds.meta)
+        assert w[0, 0] == 0.0
 
     def test_symmetry(self, rng):
         ds = random_dataset(rng, n=8)
-        b = Bandwidth(np.array([0.7]))
+        w = kernel_weight_matrix(ds.x, ds.x, Bandwidth(np.array([0.7])), ds.meta)
         for i, j in itertools.combinations(range(8), 2):
-            assert kernel_weight(ds.x[i], ds.x[j], b, ds.meta) == pytest.approx(
-                kernel_weight(ds.x[j], ds.x[i], b, ds.meta), rel=1e-14
-            )
+            assert w[j, i] == pytest.approx(w[i, j], rel=1e-14)
 
     @given(st.floats(min_value=0.1, max_value=8.0))
     @settings(max_examples=30, deadline=None)
     def test_affine_rescaling(self, a):
         meta = build_dataset([1, 2], [1, 0], x_cols=[[0.3, 0.9]]).meta
-        xi = np.array([1.0, 0.9])
-        x = np.array([1.0, 0.3])
-        base = kernel_weight(xi, x, Bandwidth(np.array([0.8])), meta)
-        scaled = kernel_weight(
-            np.array([1.0, 0.9 * a]), np.array([1.0, 0.3 * a]), Bandwidth(np.array([0.8 * a])), meta
-        )
+        xi = np.array([[1.0, 0.9]])
+        x = np.array([[1.0, 0.3]])
+        base = kernel_weight_matrix(x, xi, Bandwidth(np.array([0.8])), meta)[0, 0]
+        scaled = kernel_weight_matrix(
+            x * [1.0, a], xi * [1.0, a], Bandwidth(np.array([0.8 * a])), meta
+        )[0, 0]
         assert scaled == pytest.approx(base / a, rel=1e-12)
 
     def test_bandwidth_must_be_positive(self):
@@ -221,6 +221,89 @@ class TestCvCriterionOracle:
             cv_criterion(ds, Bandwidth(np.array([0.5, 0.5])))
 
 
+def batched_cases(rng):
+    """The hostile cases plus mixed and three-covariate product grids."""
+    cases = list(hostile_kernel_cases(rng))
+    n = 33
+    delta = (rng.random(n) < 0.7).astype(int)
+    delta[0] = 1
+    cases.append((
+        "two-continuous-one-discrete",
+        build_dataset(rng.exponential(1.0, n).round(1), delta,
+                      x_cols=[rng.normal(size=n), rng.integers(0, 2, n).astype(float), rng.normal(size=n)],
+                      discrete=[False, True, False]),
+        (0.2, 0.6, 1.5, 3.0),
+    ))
+    n = 20
+    delta = (rng.random(n) < 0.7).astype(int)
+    delta[0] = 1
+    cases.append((
+        "three-continuous",
+        build_dataset(rng.exponential(1.0, n).round(1), delta,
+                      x_cols=[rng.normal(size=n), rng.normal(size=n), rng.normal(size=n)]),
+        (0.3, 1.2),
+    ))
+    return cases
+
+
+class TestBatchedScores:
+    """``_cv_scores`` scores a product grid in batches; each score is the per-candidate criterion."""
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("case", range(7))
+    def test_batch_matches_per_candidate(self, rng, monkeypatch, case, rows):
+        name, ds, values = batched_cases(rng)[case]
+        grid = np.asarray(values)
+        # Batches of ``rows`` rows (7 ends every case on a partial block);
+        # the one-candidate calls of cv_criterion get len(grid) times as many.
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * ds.n * grid.size * rows)
+        assert kernels._block_rows(ds.n * grid.size) == rows
+        n_cont = ds.meta.n_continuous
+        scores = kernels._cv_scores(kernels._cv_table(ds), [grid] * n_cont)
+        combos = list(itertools.product(grid, repeat=n_cont))
+        assert scores.shape == (len(combos),)
+        for combo, score in zip(combos, scores):
+            single = cv_criterion(ds, Bandwidth(np.array(combo)))
+            assert math.isfinite(single), (name, combo)
+            assert score == pytest.approx(single, rel=1e-14, abs=0.0), (name, combo)
+            expected = direct_cv_criterion(ds, Bandwidth(np.array(combo)))
+            assert score == pytest.approx(expected, rel=1e-12, abs=0.0), (name, combo)
+
+    @pytest.mark.parametrize("case", range(7))
+    def test_cv_bandwidth_takes_first_minimizer(self, rng, monkeypatch, case):
+        name, ds, values = batched_cases(rng)[case]
+        ds, _ = standardize_continuous(ds)
+        grid = np.asarray(values)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * ds.n * grid.size)
+        n_cont = ds.meta.n_continuous
+        scores = kernels._cv_scores(kernels._cv_table(ds), [grid] * n_cont)
+        best = list(itertools.product(grid, repeat=n_cont))[int(np.argmin(scores))]
+        assert tuple(cv_bandwidth(ds, grid=grid).h) == tuple(np.minimum(best, 2.0)), name
+
+    def test_selection_skips_nan_and_keeps_first_tie(self, rng, monkeypatch):
+        ds, _ = standardize_continuous(random_dataset(rng, n=12))
+        monkeypatch.setattr(
+            kernels, "_cv_scores", lambda table, grids: np.array([np.nan, 3.0, 1.0, 1.0, np.inf])
+        )
+        grid = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        assert cv_bandwidth(ds, grid=grid).h[0] == 0.3
+
+    def test_empty_neighborhoods_score_like_per_candidate(self, rng, monkeypatch):
+        # At h = 0.005 some rows of the clustered case have no mass at all.
+        name, ds, values = hostile_kernel_cases(rng)[4]
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * ds.n * len(values))
+        mass = gaussian_weight_matrix(ds, Bandwidth(np.array([values[0]]))).sum(axis=1)
+        assert np.any(mass == 0.0)
+        scores = kernels._cv_scores(kernels._cv_table(ds), [np.asarray(values)])
+        expected = [direct_cv_criterion(ds, Bandwidth(np.array([h]))) for h in values]
+        assert scores == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_no_mass_anywhere_is_infinite(self):
+        ds = build_dataset([1.0, 2.0, 3.0], [1, 1, 0], x_cols=[[0.0, 10.0, 20.0]])
+        scores = kernels._cv_scores(kernels._cv_table(ds), [np.array([0.01, 100.0])])
+        assert scores[0] == np.inf and math.isfinite(scores[1])
+
+
 def test_cv_underflow_raises_no_warning(rng):
     """Small bandwidths on widely spread covariates underflow the weights.
 
@@ -325,9 +408,11 @@ def test_default_grid_shape():
 
 
 def test_weight_matrix_matches_scalar(rng):
+    # Every entry equals the one-pair matrix of its query and data rows.
     ds = random_dataset(rng, n=7)
     b = Bandwidth(np.array([0.9]))
     m = kernel_weight_matrix(ds.x, ds.x, b, ds.meta)
     for i in range(7):
         for j in range(7):
-            assert m[i, j] == pytest.approx(kernel_weight(ds.x[j], ds.x[i], b, ds.meta), abs=1e-14)
+            pair = kernel_weight_matrix(ds.x[i:i + 1], ds.x[j:j + 1], b, ds.meta)
+            assert m[i, j] == pytest.approx(pair[0, 0], abs=1e-14)
