@@ -171,7 +171,7 @@ def _cv_scores(table: _CvTable, grids: list[np.ndarray]) -> np.ndarray:
     batch axis.  Each block forms its squared distances once per covariate
     and the last covariate's factors exp(-D^2 / (2 h^2)) once per grid
     value; every combination of the other covariates multiplies them by its
-    own factor.  Per-candidate totals are the only arrays of length K.
+    own factor.  Beyond the blocks, memory is O(K + n) for K candidates.
     """
     n = table.start.size
     n_cont = len(grids)
@@ -217,8 +217,8 @@ def _cv_scores(table: _CvTable, grids: list[np.ndarray]) -> np.ndarray:
                 f[:, rows, rows + lo] = 0.0
             else:
                 f *= table.match[lo:hi]
-            at = ((np.arange(g) * m)[:, None] + rows) * n + table.start[lo:hi]
-            at = at.ravel()
+            # Flat position of (row, start[row]) in each candidate's weights.
+            at = (((np.arange(g) * m)[:, None] + rows) * n + table.start[lo:hi]).ravel()
             for o, outer_scale in enumerate(outer):
                 w = f
                 if outer_scale:

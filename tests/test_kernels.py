@@ -288,17 +288,8 @@ class TestBatchedScores:
         grid = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         assert cv_bandwidth(ds, grid=grid).h[0] == 0.3
 
-    def test_empty_neighborhoods_score_like_per_candidate(self, rng, monkeypatch):
-        # At h = 0.005 some rows of the clustered case have no mass at all.
-        name, ds, values = hostile_kernel_cases(rng)[4]
-        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * ds.n * len(values))
-        mass = gaussian_weight_matrix(ds, Bandwidth(np.array([values[0]]))).sum(axis=1)
-        assert np.any(mass == 0.0)
-        scores = kernels._cv_scores(kernels._cv_table(ds), [np.asarray(values)])
-        expected = [direct_cv_criterion(ds, Bandwidth(np.array([h]))) for h in values]
-        assert scores == pytest.approx(expected, rel=1e-12, abs=0.0)
-
-    def test_no_mass_anywhere_is_infinite(self):
+    def test_each_candidate_flags_its_own_mass(self):
+        # No row has mass at h = 0.01; every row has some at h = 100.
         ds = build_dataset([1.0, 2.0, 3.0], [1, 1, 0], x_cols=[[0.0, 10.0, 20.0]])
         scores = kernels._cv_scores(kernels._cv_table(ds), [np.array([0.01, 100.0])])
         assert scores[0] == np.inf and math.isfinite(scores[1])
