@@ -17,7 +17,6 @@ utilities and a reproducible Monte Carlo harness round out the package.
 from .data import (
     CovariateMeta,
     CsvSchema,
-    Subject,
     SurvivalDataset,
     destandardize_gamma,
     load_csv,
@@ -56,7 +55,7 @@ from .latency_cox import (
 from .mle_baseline import CureModelFit, fit_mle_em, observed_loglik
 from .nonparam import kaplan_meier, plateau_fraction
 from .pipeline import fit_cure_model, fit_presmoothing
-from .presmoother import conditional_subdist, estimate_cure_prob, presmooth_all
+from .presmoother import estimate_cure_prob, presmooth_all
 from .simulate import (
     DEFAULT_SEED,
     SCENARIOS,
@@ -92,12 +91,10 @@ __all__ = [
     "SimulationScenario",
     "SingularHessianError",
     "StepFunction",
-    "Subject",
     "SurvivalDataset",
     "bootstrap_se",
     "breslow_update",
     "compute_weights",
-    "conditional_subdist",
     "cv_bandwidth",
     "default_grid",
     "destandardize_gamma",

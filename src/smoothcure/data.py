@@ -8,7 +8,8 @@ while ``z`` drives the event-time distribution of the susceptible subjects
 
 Datasets are immutable after construction: all arrays are stored with the
 writeable flag cleared, so they can be shared freely across threads and
-worker processes.
+worker processes.  The follow-up-time order that every estimator walks is
+sorted once per dataset, on first use, and shared by all of them.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .errors import DegenerateCovariateError, ParseError, SchemaError
 __all__ = [
     "CovariateMeta",
     "CsvSchema",
-    "Subject",
     "SurvivalDataset",
     "destandardize_gamma",
     "load_csv",
@@ -87,21 +88,25 @@ class CovariateMeta:
 
 
 @dataclass(frozen=True)
-class Subject:
-    """One observation row: follow-up time, event indicator, covariates."""
+class _TimeOrder:
+    """The subjects in follow-up-time order, with their tie groups.
 
-    y: float
-    delta: int
-    x: np.ndarray
-    z: np.ndarray
+    ``order`` lists the subjects by ascending time, events before censored
+    subjects within a tie; reversed, it runs by decreasing time with events
+    after censored ties.  ``start[k]`` is the first sorted position with the
+    time of sorted position k, so {j : Y_j >= Y_(k)} are the sorted
+    positions from ``start[k]`` on.  ``event_times`` holds the distinct
+    event times in ascending order, ``event_counts`` the events at each, and
+    ``event_first`` and ``event_last`` the first and last sorted position
+    with that time, censored ties included.
+    """
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.y) and self.y >= 0.0):
-            raise ParseError(f"follow-up time must be finite and nonnegative, got {self.y}")
-        if self.delta not in (0, 1):
-            raise ParseError(f"event indicator must be 0 or 1, got {self.delta}")
-        if self.x[0] != 1.0:
-            raise ParseError("first incidence covariate must be the intercept 1")
+    order: np.ndarray
+    start: np.ndarray
+    event_times: np.ndarray
+    event_counts: np.ndarray
+    event_first: np.ndarray
+    event_last: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -159,13 +164,23 @@ class SurvivalDataset:
     def __len__(self) -> int:
         return self.n
 
-    def subject(self, i: int) -> Subject:
-        return Subject(float(self.y[i]), int(self.delta[i]), self.x[i], self.z[i])
-
-    @property
-    def subjects(self) -> tuple[Subject, ...]:
-        """Row views in original order; built on demand."""
-        return tuple(self.subject(i) for i in range(self.n))
+    @cached_property
+    def _time_order(self) -> _TimeOrder:
+        """The one sort by follow-up time, built on first use and then shared."""
+        order = np.lexsort((1 - self.delta, self.y))
+        y = self.y[order]
+        first = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+        sizes = np.diff(first, append=self.n)
+        events = np.add.reduceat(self.delta[order], first)
+        has = events > 0
+        return _TimeOrder(
+            order=_readonly(order),
+            start=_readonly(np.repeat(first, sizes)),
+            event_times=_readonly(y[first[has]]),
+            event_counts=_readonly(events[has]),
+            event_first=_readonly(first[has]),
+            event_last=_readonly((first + sizes - 1)[has]),
+        )
 
     def take(self, indices) -> "SurvivalDataset":
         """Row subset (e.g. a bootstrap resample), on the stored scale.

@@ -134,12 +134,10 @@ class _CvTable:
 
 
 def _cv_table(ds: SurvivalDataset) -> _CvTable:
-    order = np.argsort(ds.y, kind="stable")
-    y = ds.y[order]
-    x = ds.x[order]
-    times = np.unique(y[ds.delta[order] == 1])
+    t = ds._time_order
+    x = ds.x[t.order]
     event_last = np.zeros(ds.n)
-    event_last[np.searchsorted(y, times, side="right") - 1] = 1.0
+    event_last[t.event_last] = 1.0
     match = None
     for col in ds.meta.discrete_columns():
         same = x[:, None, col] == x[None, :, col]
@@ -150,7 +148,7 @@ def _cv_table(ds: SurvivalDataset) -> _CvTable:
         x_cont=np.ascontiguousarray(x[:, ds.meta.continuous_columns()].T),
         match=match,
         event_last=event_last,
-        start=np.searchsorted(y, y, side="left"),
+        start=t.start,
     )
 
 

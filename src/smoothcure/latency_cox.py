@@ -41,7 +41,6 @@ __all__ = [
     "compute_weights",
     "em_iterates",
     "fit_latency",
-    "mixture_survival",
     "profile_residual",
     "weighted_partial_fit",
 ]
@@ -115,17 +114,13 @@ class LatencyFit:
     last_event_time: float
 
 
-def mixture_survival(
-    ds: SurvivalDataset, gamma: np.ndarray, beta: np.ndarray, Lambda: StepFunction
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per subject at its own time Y: H = Lambda(Y) e^{beta'z}, phi S_u and
-    the mixture survival 1 - phi + phi S_u, where S_u = exp(-H) is forced to
-    zero beyond the last jump time of Lambda (the zero-tail rule)."""
-    phi = expit(ds.x @ np.asarray(gamma, dtype=float))
+def _log_susceptible_survival(
+    ds: SurvivalDataset, beta: np.ndarray, Lambda: StepFunction
+) -> np.ndarray:
+    """log S_u(Y) per subject at its own time: -Lambda(Y) e^{beta'z}, and
+    -inf beyond the last jump time of Lambda (the zero-tail rule)."""
     hazard = Lambda(ds.y) * np.exp(ds.z @ np.asarray(beta, dtype=float))
-    s_u = np.where(ds.y > Lambda.times[-1], 0.0, np.exp(-hazard))
-    susceptible = phi * s_u
-    return hazard, susceptible, 1.0 - phi + susceptible
+    return np.where(ds.y > Lambda.times[-1], -np.inf, -hazard)
 
 
 def compute_weights(
@@ -134,26 +129,24 @@ def compute_weights(
     """Expected susceptibility per subject: 1 for events, and for a subject
     censored at Y the posterior phi S_u(Y) / (1 - phi + phi S_u(Y)), which is
     0 beyond the last jump time of Lambda."""
-    _, num, den = mixture_survival(ds, gamma, beta, Lambda)
+    phi = expit(ds.x @ np.asarray(gamma, dtype=float))
+    num = phi * np.exp(_log_susceptible_survival(ds, beta, Lambda))
+    den = 1.0 - phi + num
     with np.errstate(invalid="ignore"):
         g = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
     return np.where(ds.delta == 1, 1.0, g)
 
 
-def _riskset_sums(y: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _riskset_sums(ds: SurvivalDataset, values: np.ndarray) -> np.ndarray:
     """For each subject i, the sum of ``values`` over {j : Y_j >= Y_i}.
 
-    ``values`` may be (n,) or (n, d); summation runs in a fixed descending
-    time order so results do not depend on input permutation beyond ties,
-    which are aggregated exactly.
+    ``values`` may be (n,) or (n, d); summation runs in the dataset's fixed
+    descending time order, so ties are aggregated exactly.
     """
-    order = np.argsort(y, kind="stable")
-    y_sorted = y[order]
-    v_sorted = values[order]
-    tail = np.cumsum(v_sorted[::-1], axis=0)[::-1]
-    first = np.searchsorted(y_sorted, y_sorted, side="left")
+    t = ds._time_order
+    tail = np.cumsum(values[t.order][::-1], axis=0)[::-1]
     out = np.empty_like(values, dtype=float)
-    out[order] = tail[first]
+    out[t.order] = tail[t.start]
     return out
 
 
@@ -189,7 +182,7 @@ def weighted_partial_fit(
         eta = z @ beta
         shift = float(np.max(eta))
         r = weights * np.exp(eta - shift)
-        s0 = _riskset_sums(ds.y, r)
+        s0 = _riskset_sums(ds, r)
         bad = events & (s0 <= 0.0)
         if np.any(bad):
             i = int(np.flatnonzero(bad)[0])
@@ -201,10 +194,10 @@ def weighted_partial_fit(
         if not np.array_equal(beta, last["beta"]):
             objective(beta)
         r, s0 = last["r"], last["s0"]
-        zbar = _riskset_sums(ds.y, r[:, None] * z)[events] / s0[events, None]
+        zbar = _riskset_sums(ds, r[:, None] * z)[events] / s0[events, None]
 
         def information():
-            s2 = _riskset_sums(ds.y, r[:, None] * zz).reshape(ds.n, q, q)
+            s2 = _riskset_sums(ds, r[:, None] * zz).reshape(ds.n, q, q)
             return np.sum(
                 s2[events] / s0[events, None, None] - zbar[:, :, None] * zbar[:, None, :], axis=0
             )
@@ -221,17 +214,13 @@ def breslow_update(ds: SurvivalDataset, weights: np.ndarray, beta: np.ndarray) -
     The jump at t is the number of events at t divided by the weighted
     risk-set sum of e^{beta'z} over {j : Y_j >= t}.
     """
-    weights = np.asarray(weights, dtype=float)
-    r = weights * np.exp(ds.z @ np.asarray(beta, dtype=float))
-    event_y = ds.y[ds.delta == 1]
-    times, counts = np.unique(event_y, return_counts=True)
-    order = np.argsort(ds.y, kind="stable")
-    tail = np.concatenate((np.cumsum(r[order][::-1])[::-1], [0.0]))
-    denom = tail[np.searchsorted(ds.y[order], times, side="left")]
+    t = ds._time_order
+    r = np.asarray(weights, dtype=float) * np.exp(ds.z @ np.asarray(beta, dtype=float))
+    denom = np.cumsum(r[t.order][::-1])[::-1][t.event_first]
     if np.any(denom <= 0.0):
-        t_bad = times[np.flatnonzero(denom <= 0.0)[0]]
+        t_bad = t.event_times[np.flatnonzero(denom <= 0.0)[0]]
         raise NumericalError(f"zero weighted risk-set mass at event time {t_bad}")
-    return StepFunction(times, np.cumsum(counts / denom))
+    return StepFunction(t.event_times, np.cumsum(t.event_counts / denom))
 
 
 def em_iterates(

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SurvivalDataset
-from .incidence import IncidenceFit, fit_incidence
-from .latency_cox import LatencyFit, StepFunction, em_iterates, mixture_survival
+from .incidence import IncidenceFit, _log_phi_pair, fit_incidence
+from .latency_cox import LatencyFit, StepFunction, _log_susceptible_survival, em_iterates
 
 __all__ = ["CureModelFit", "fit_mle_em", "observed_loglik"]
 
@@ -48,14 +48,16 @@ class CureModelFit:
 def observed_loglik(
     ds: SurvivalDataset, gamma: np.ndarray, beta: np.ndarray, Lambda: StepFunction
 ) -> float:
-    """Average observed-data log-likelihood at the given parameters.
+    """Average observed-data log-likelihood of the mixture cure model.
 
-    Events contribute log of Lambda's jump at their time plus the linear
-    predictor minus the cumulative hazard term; censored subjects contribute
-    the log mixture of cure and susceptible survival, with the susceptible
-    survival forced to zero beyond the last jump time.  An event time with
-    no jump (or a censored term with zero mass) yields a -inf sentinel
-    rather than an exception.
+    An event contributes log phi + log of Lambda's jump at its time + beta'z
+    + log S_u(Y), and a censored subject log(1 - phi + phi S_u(Y)), where
+    S_u(Y) = exp(-Lambda(Y) e^{beta'z}) is forced to zero beyond the last
+    jump time of Lambda (the zero-tail rule).  The censored term is formed
+    as logaddexp(log(1 - phi), log phi + log S_u), so a saturated phi
+    cannot round 1 - phi to zero.  An event time with no jump (or a
+    censored term with zero mass) yields a -inf sentinel rather than an
+    exception.
     """
     events = ds.delta == 1
     event_y = ds.y[events]
@@ -66,13 +68,12 @@ def observed_loglik(
     jump_sizes = np.where(on_grid, Lambda.jumps[np.minimum(pos, Lambda.times.size - 1)], 0.0)
     if np.any(jump_sizes <= 0.0):
         return float("-inf")
-    hazard, _, survival = mixture_survival(ds, gamma, beta, Lambda)
+    log_phi, log_1m = _log_phi_pair(ds.x @ np.asarray(gamma, dtype=float))
+    log_s_u = _log_susceptible_survival(ds, beta, Lambda)
     eta = ds.z @ np.asarray(beta, dtype=float)
-    event_terms = np.log(jump_sizes) + eta[events] - hazard[events]
-    mix = survival[~events]
-    if np.any(mix <= 0.0):
-        return float("-inf")
-    return float((np.sum(event_terms) + np.sum(np.log(mix))) / ds.n)
+    event_terms = log_phi[events] + np.log(jump_sizes) + eta[events] + log_s_u[events]
+    censored_terms = np.logaddexp(log_1m[~events], log_phi[~events] + log_s_u[~events])
+    return float((np.sum(event_terms) + np.sum(censored_terms)) / ds.n)
 
 
 def fit_mle_em(ds: SurvivalDataset, tol: float = 1e-7, max_iter: int = 500) -> CureModelFit:
@@ -88,8 +89,7 @@ def fit_mle_em(ds: SurvivalDataset, tol: float = 1e-7, max_iter: int = 500) -> C
     observed log-likelihood trace is attached for audit; it is
     nondecreasing by the EM construction.
     """
-    last_event = float(np.max(ds.y[ds.delta == 1]))
-    plateau = (ds.delta == 0) & (ds.y > last_event)
+    plateau = (ds.delta == 0) & (ds.y > ds._time_order.event_times[-1])
     labels = np.where(plateau, 0.0, 1.0)
     gamma = fit_incidence(1.0 - labels, ds.x).gamma
 

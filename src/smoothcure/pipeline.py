@@ -63,7 +63,7 @@ def fit_presmoothing(
 
 def fit_cure_model(ds: SurvivalDataset, method: str, **options) -> CureModelFit:
     """Dispatch on method name: ``presmooth`` or ``mle``."""
-    if method in ("presmooth", "presmoothing"):
+    if method == "presmooth":
         return fit_presmoothing(ds, **options)
     if method == "mle":
         allowed = {"tol", "max_iter"}

@@ -166,7 +166,7 @@ def test_criterion_6_beran_km_equivalence():
         ds = build_dataset(y, delta, x_cols=[np.full(n, 0.7)])
         km = kaplan_meier(ds.y, ds.delta)
         expected = km(km.times[-1])
-        got = estimate_cure_prob(ds, ds.x[0], Bandwidth(np.array([1.0]))).value
+        got = estimate_cure_prob(ds, ds.x[:1], Bandwidth(np.array([1.0])))[0]
         worst = max(worst, abs(got - expected))
     ok = announce(
         "criterion 6 (product-limit equivalence, 200 datasets)", worst < 1e-12, f"max gap={worst:.2e}"
@@ -213,8 +213,8 @@ def test_criterion_7_gradient_checks():
         beta = rng2.normal(0.0, 0.5, 1)
         events = ds.delta == 1
         r = w * np.exp(ds.z @ beta)
-        s0 = _riskset_sums(ds.y, r)
-        s1 = _riskset_sums(ds.y, r[:, None] * ds.z)
+        s0 = _riskset_sums(ds, r)
+        s1 = _riskset_sums(ds, r[:, None] * ds.z)
         score = np.sum(ds.z[events] - s1[events] / s0[events, None], axis=0)
         fd = (partial_loglik(ds, w, beta + h) - partial_loglik(ds, w, beta - h)) / (2 * h)
         worst = max(worst, abs(fd - score[0]) / max(1.0, abs(score[0])))

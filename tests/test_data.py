@@ -151,13 +151,6 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.y[0] = 9.0
 
-    def test_subjects_view(self):
-        ds = build_dataset([1, 2, 3], [1, 1, 0], x_cols=[[0.0, 1.0, 2.0]])
-        subjects = ds.subjects
-        assert len(subjects) == 3
-        assert subjects[1].y == 2.0 and subjects[1].delta == 1
-        assert subjects[2].x[1] == 2.0
-
     def test_take_preserves_rows(self, rng):
         ds = build_dataset(rng.exponential(1, 10), np.ones(10, int),
                            x_cols=[rng.normal(size=10)], z_cols=[rng.normal(size=10)])

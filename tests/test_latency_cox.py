@@ -156,8 +156,8 @@ class TestWeightedPartialFit:
             beta = rng.normal(0.0, 0.5, 2)
             events = ds.delta == 1
             r = w * np.exp(ds.z @ beta)
-            s0 = _riskset_sums(ds.y, r)
-            s1 = _riskset_sums(ds.y, r[:, None] * ds.z)
+            s0 = _riskset_sums(ds, r)
+            s1 = _riskset_sums(ds, r[:, None] * ds.z)
             score = np.sum(ds.z[events] - s1[events] / s0[events, None], axis=0)
             h = 1e-5
             for j in range(2):

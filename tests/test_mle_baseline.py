@@ -21,18 +21,21 @@ from conftest import build_dataset, random_dataset
 
 class TestObservedLoglik:
     def test_single_event_hand_value(self):
-        # one event with unit jump at its time, beta = 0: log(1) + 0 - 1
+        # two events with unit jump at their time, beta = 0 and phi = 1/2:
+        # each contributes log(1/2) + log(1) + 0 - 1
         ds = build_dataset([1.0, 1.0], [1, 1], z_cols=[[0.0, 0.0]])
         Lam = StepFunction(np.array([1.0]), np.array([1.0]))
         value = observed_loglik(ds, np.array([0.0]), np.zeros(1), Lam)
-        assert value == pytest.approx(-1.0, abs=1e-12)
+        assert value == pytest.approx(-1.0 + math.log(0.5), abs=1e-12)
 
     def test_censored_past_plateau(self):
         ds = build_dataset([1.0, 5.0], [1, 0], z_cols=[[0.0, 0.0]])
         Lam = breslow_update(ds, np.ones(2), np.zeros(1))
         gamma = np.array([math.log(0.3 / 0.7)])  # phi = 0.3
         value = observed_loglik(ds, gamma, np.zeros(1), Lam)
-        event_term = math.log(Lam.jump_at(1.0)) - Lam(1.0)
+        # event: log phi + log jump - Lambda(1); censored beyond the last
+        # jump: log(1 - phi)
+        event_term = math.log(0.3) + math.log(Lam.jump_at(1.0)) - Lam(1.0)
         assert value == pytest.approx((event_term + math.log(0.7)) / 2, rel=1e-10)
 
     def test_zero_jump_sentinel(self):
@@ -58,6 +61,14 @@ class TestFitMleEm:
         fit = fit_mle_em(ds, max_iter=60)
         assert not fit.converged
         assert np.all(np.isfinite(fit.gamma))
+
+    def test_loglik_never_falls_on_small_samples(self):
+        # Small samples drive the incidence far out, where an EM step that
+        # raises the likelihood through log phi alone is common.
+        sce = make_scenario("demo/convergence")
+        for r in range(40):
+            path = fit_mle_em(generate(sce, seed=2024, replication=r)).loglik_path
+            assert np.min(np.diff(path)) >= -1e-10, r
 
     def test_small_sample_failures_surface(self):
         sce = make_scenario("demo/convergence")

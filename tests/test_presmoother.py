@@ -6,7 +6,6 @@ import pytest
 from smoothcure import (
     Bandwidth,
     EmptyNeighborhoodError,
-    conditional_subdist,
     estimate_cure_prob,
     kaplan_meier,
     presmooth_all,
@@ -59,17 +58,14 @@ class TestDirectFormulaOracle:
             assert np.max(np.abs(got - direct_presmooth(ds, b))) <= 1e-12, (name, h)
 
     @pytest.mark.parametrize("case", range(5))
-    def test_conditional_subdist(self, rng, case):
+    def test_estimate_cure_prob(self, rng, case):
+        # Every third subject's row as an (m, p) query block.
         name, ds, values = hostile_kernel_cases(rng)[case]
         for h in values:
             b = Bandwidth(np.full(ds.meta.n_continuous, h))
-            w = kernel_weight_matrix(ds.x, ds.x, b, ds.meta)
-            times, h1, at_risk = direct_masses(w / w.sum(axis=1)[:, None], ds)
-            for i in range(0, ds.n, 3):
-                sub = conditional_subdist(ds, ds.x[i], b)
-                assert np.array_equal(sub.event_times, times)
-                assert np.max(np.abs(sub.h1_mass - h1[i])) <= 1e-12, (name, h, i)
-                assert np.max(np.abs(sub.at_risk - at_risk[i])) <= 1e-12, (name, h, i)
+            got = estimate_cure_prob(ds, ds.x[::3], b)
+            assert got.shape == (len(range(0, ds.n, 3)),)
+            assert np.max(np.abs(got - direct_presmooth(ds, b)[::3])) <= 1e-12, (name, h)
 
     def test_every_tied_event_at_the_last_time(self):
         # The last event time has two tied events and a tied censored
@@ -79,44 +75,26 @@ class TestDirectFormulaOracle:
         assert np.allclose(presmooth_all(ds, WIDE), expected, atol=1e-15)
 
 
-class TestConditionalSubdist:
-    def test_uniform_weight_reduction(self):
-        # bandwidth far above the data range: all kernel arguments < 1
-        ds = build_dataset([1, 1, 2, 3], [1, 1, 0, 1], x_cols=[[0.0, 0.3, 0.6, 0.9]])
-        sub = conditional_subdist(ds, ds.x[0], WIDE)
-        assert np.allclose(sub.event_times, [1.0, 3.0])
-        assert np.allclose(sub.h1_mass, [2 / 4, 1 / 4])
-        assert np.allclose(sub.at_risk, [1.0, 1 / 4])
-
+class TestEstimateCureProb:
     def test_discrete_mismatch_raises(self):
         ds = build_dataset([1, 2, 3], [1, 1, 0], x_cols=[[0.0, 0.0, 1.0]], discrete=[True])
-        query = np.array([1.0, 2.0])  # level matching nobody
+        query = np.array([[1.0, 2.0]])  # level matching nobody
         with pytest.raises(EmptyNeighborhoodError):
-            conditional_subdist(ds, query, Bandwidth(np.empty(0)))
+            estimate_cure_prob(ds, query, Bandwidth(np.empty(0)))
 
     def test_hand_computed_weights(self):
         # Kernel values proportional to (4, 3, 2, 1): distances chosen so the
-        # squared arguments are 0, 1/4, 1/2, 3/4 at unit bandwidth.
+        # squared arguments are 0, 1/4, 1/2, 3/4 at unit bandwidth.  The event
+        # masses at times 1 and 3 are 0.4 and 0.2, the at-risk masses 1 and 0.3.
         offsets = np.array([0.0, 0.5, math.sqrt(0.5), math.sqrt(0.75)])
         ds = build_dataset([1, 2, 3, 4], [1, 0, 1, 0], x_cols=[offsets])
-        sub = conditional_subdist(ds, ds.x[0], Bandwidth(np.array([1.0])))
-        assert np.allclose(sub.event_times, [1.0, 3.0])
-        assert np.allclose(sub.h1_mass, [0.4, 0.2], atol=1e-12)
-        assert np.allclose(sub.at_risk, [1.0, 0.3], atol=1e-12)
+        value = estimate_cure_prob(ds, ds.x[:1], Bandwidth(np.array([1.0])))[0]
+        assert value == pytest.approx((1 - 0.4) * (1 - 0.2 / 0.3), abs=1e-12)
 
-    def test_normalized_weights_sum_to_one(self, rng):
-        ds = random_dataset(rng, n=12)
-        sub = conditional_subdist(ds, ds.x[3], Bandwidth(np.array([0.8])))
-        assert sub.at_risk[0] <= 1.0 + 1e-12
-        assert np.all(np.diff(sub.at_risk) <= 1e-15)
-        assert np.all(sub.h1_mass >= 0)
-
-
-class TestEstimateCureProb:
     def test_all_uncensored_gives_zero(self):
         ds = build_dataset([1, 2, 3, 4], [1, 1, 1, 1], x_cols=[[0.1, 0.2, 0.3, 0.4]])
-        est = estimate_cure_prob(ds, ds.x[0], WIDE)
-        assert est.value == 0.0
+        est = estimate_cure_prob(ds, ds.x[:1], WIDE)[0]
+        assert est == 0.0
 
     def test_no_events_in_neighborhood_gives_one(self):
         # The queried discrete cell holds only censored subjects, so the
@@ -125,13 +103,13 @@ class TestEstimateCureProb:
             [1, 2, 3, 4], [1, 0, 0, 0],
             x_cols=[[0.0, 1.0, 1.0, 1.0]], discrete=[True],
         )
-        est = estimate_cure_prob(ds, ds.x[1], Bandwidth(np.empty(0)))
-        assert est.value == 1.0
+        est = estimate_cure_prob(ds, ds.x[1:2], Bandwidth(np.empty(0)))[0]
+        assert est == 1.0
 
     def test_uniform_weights_equal_km_at_last_event(self):
         ds = build_dataset([1, 2, 3, 4], [1, 0, 1, 0], x_cols=[[0.5, 0.5, 0.5, 0.5]])
-        est = estimate_cure_prob(ds, ds.x[0], Bandwidth(np.array([1.0])))
-        assert est.value == pytest.approx(0.375, abs=1e-15)
+        est = estimate_cure_prob(ds, ds.x[:1], Bandwidth(np.array([1.0])))[0]
+        assert est == pytest.approx(0.375, abs=1e-15)
 
     def test_km_equivalence_random(self):
         for seed in range(30):
@@ -144,14 +122,15 @@ class TestEstimateCureProb:
             ds = build_dataset(y, delta, x_cols=[np.full(n, 0.3)])
             km = kaplan_meier(ds.y, ds.delta)
             expected = km(km.times[-1])
-            est = estimate_cure_prob(ds, ds.x[0], Bandwidth(np.array([1.0])))
-            assert est.value == pytest.approx(expected, abs=1e-12)
+            est = estimate_cure_prob(ds, ds.x[:1], Bandwidth(np.array([1.0])))[0]
+            assert est == pytest.approx(expected, abs=1e-12)
 
     def test_value_in_unit_interval(self, rng):
         for _ in range(20):
             ds = random_dataset(rng, n=15)
-            v = estimate_cure_prob(ds, ds.x[int(rng.integers(15))], Bandwidth(np.array([0.5])))
-            assert 0.0 <= v.value <= 1.0
+            i = int(rng.integers(15))
+            v = estimate_cure_prob(ds, ds.x[i : i + 1], Bandwidth(np.array([0.5])))[0]
+            assert 0.0 <= v <= 1.0
 
 
 class TestPresmoothAll:
@@ -161,7 +140,7 @@ class TestPresmoothAll:
         vec = presmooth_all(ds, b)
         assert vec.shape == (14,)
         for i in range(14):
-            assert vec[i] == pytest.approx(estimate_cure_prob(ds, ds.x[i], b).value, abs=1e-12)
+            assert vec[i] == pytest.approx(estimate_cure_prob(ds, ds.x[i : i + 1], b)[0], abs=1e-12)
 
     def test_censored_only_cell_gets_one(self):
         ds = build_dataset(

@@ -1,0 +1,152 @@
+"""The one follow-up-time order per dataset, checked against brute-force sums.
+
+Every reader of the time order (risk-set sums, the Breslow update,
+presmoothing and the bandwidth criterion) is compared with a direct O(n^2)
+evaluation of its definition on inputs where the order is easy to get
+wrong: tie groups that mix events with censored subjects, heavy ties and
+duplicated rows.
+"""
+
+import numpy as np
+import pytest
+
+from smoothcure import Bandwidth, breslow_update, fit_presmoothing, make_scenario, presmooth_all
+from smoothcure.kernels import cv_criterion
+from smoothcure.latency_cox import _riskset_sums
+from smoothcure.simulate import generate
+
+from conftest import build_dataset
+
+
+def tie_cases():
+    rng = np.random.default_rng(4242)
+    cases = []
+    # Every time holds a censored subject listed before an event.
+    n = 30
+    y = np.repeat(rng.exponential(1.0, n // 2).round(2), 2)
+    delta = np.tile([0, 1], n // 2)
+    cases.append(("mixed-ties", build_dataset(
+        y, delta, x_cols=[rng.normal(size=n)], z_cols=[rng.normal(size=n)])))
+    n = 40
+    delta = (rng.random(n) < 0.5).astype(int)
+    delta[0] = 1
+    cases.append(("heavy-ties", build_dataset(
+        rng.integers(1, 4, n).astype(float), delta,
+        x_cols=[rng.normal(size=n)], z_cols=[rng.normal(size=n)])))
+    n = 25
+    delta = (rng.random(n) < 0.6).astype(int)
+    delta[0] = 1
+    base = build_dataset(rng.exponential(1.0, n).round(1), delta,
+                         x_cols=[rng.normal(size=n)], z_cols=[rng.normal(size=n)])
+    cases.append(("duplicated-rows", base.take(rng.integers(0, n, n))))
+    return cases
+
+
+CASES = tie_cases()
+IDS = [name for name, _ in CASES]
+
+
+def event_times(ds):
+    return sorted(set(ds.y[ds.delta == 1].tolist()))
+
+
+def riskset_oracle(ds, values):
+    return np.array([np.sum(values[ds.y >= ds.y[i]], axis=0) for i in range(ds.n)])
+
+
+def breslow_oracle(ds, w, beta):
+    r = w * np.exp(ds.z @ beta)
+    jumps = [np.sum((ds.y == t) & (ds.delta == 1)) / np.sum(r[ds.y >= t]) for t in event_times(ds)]
+    return np.asarray(event_times(ds)), np.cumsum(jumps)
+
+
+def presmooth_oracle(ds, h):
+    out = np.empty(ds.n)
+    for i in range(ds.n):
+        u = (ds.x[:, 1] - ds.x[i, 1]) / h
+        w = np.maximum(0.75 * (1.0 - u * u), 0.0) / h
+        prob = 1.0
+        for t in event_times(ds):
+            at_risk = np.sum(w[ds.y >= t])
+            if at_risk > 0.0:
+                prob *= 1.0 - np.sum(w[(ds.y == t) & (ds.delta == 1)]) / at_risk
+        out[i] = prob
+    return out
+
+
+def cv_oracle(ds, h):
+    total = 0.0
+    for i in range(ds.n):
+        u = (ds.x[:, 1] - ds.x[i, 1]) / h
+        w = np.exp(-0.5 * u * u)
+        w[i] = 0.0
+        if not np.sum(w) > 0.0:
+            continue
+        for t in event_times(ds):
+            total += (float(ds.y[i] <= t) - np.sum(w[ds.y <= t]) / np.sum(w)) ** 2
+    return total
+
+
+@pytest.mark.parametrize("name,ds", CASES, ids=IDS)
+class TestAgainstBruteForce:
+    def test_riskset_sums(self, name, ds):
+        values = np.column_stack([np.exp(ds.z[:, 0]), ds.z[:, 0], np.ones(ds.n)])
+        np.testing.assert_allclose(_riskset_sums(ds, values), riskset_oracle(ds, values), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(_riskset_sums(ds, values[:, 0]), riskset_oracle(ds, values[:, 0]), rtol=1e-12)
+
+    def test_breslow_update(self, name, ds):
+        w = np.where(ds.delta == 1, 1.0, np.linspace(0.2, 0.9, ds.n))
+        beta = np.array([0.4])
+        lam = breslow_update(ds, w, beta)
+        times, values = breslow_oracle(ds, w, beta)
+        assert np.array_equal(lam.times, times)
+        np.testing.assert_allclose(lam.values, values, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("h", [0.3, 1.5])
+    def test_presmooth_all(self, name, ds, h):
+        got = presmooth_all(ds, Bandwidth(np.array([h])))
+        assert np.max(np.abs(got - presmooth_oracle(ds, h))) <= 1e-12
+
+    @pytest.mark.parametrize("h", [0.3, 1.5])
+    def test_cv_criterion(self, name, ds, h):
+        assert cv_criterion(ds, Bandwidth(np.array([h]))) == pytest.approx(cv_oracle(ds, h), rel=1e-12, abs=0.0)
+
+    def test_tie_groups_and_event_times(self, name, ds):
+        t = ds._time_order
+        y = ds.y[t.order]
+        assert np.all(np.diff(y) >= 0.0)
+        # events first within every tie
+        assert np.all((np.diff(y) > 0.0) | (np.diff(ds.delta[t.order]) <= 0))
+        assert np.array_equal(y[t.start], y) and np.all((t.start == 0) | (y[t.start - 1] < y))
+        assert np.array_equal(t.event_times, event_times(ds))
+        assert np.array_equal(t.event_counts, [np.sum((ds.y == v) & (ds.delta == 1)) for v in t.event_times])
+        assert np.array_equal(y[t.event_first], t.event_times)
+        assert np.array_equal(y[t.event_last], t.event_times)
+        after = np.minimum(t.event_last + 1, ds.n - 1)
+        assert np.all((t.event_last == ds.n - 1) | (y[after] > t.event_times))
+
+
+def test_time_order_is_cached_and_read_only():
+    ds = CASES[0][1]
+    t = ds._time_order
+    assert ds._time_order is t
+    with pytest.raises(ValueError):
+        t.order[0] = 1
+    assert ds.take(np.arange(ds.n))._time_order is not t
+
+
+def test_presmoothing_fit_sorts_once(monkeypatch):
+    # Standardization gives a new dataset; everything after it reads that
+    # dataset's one time order.
+    ds = generate(make_scenario("m1/s1/c1", n=120), seed=3)
+    calls = []
+    for name in ("argsort", "lexsort"):
+        real = getattr(np, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    fit_presmoothing(ds, bandwidth=Bandwidth(np.array([0.5])))
+    assert calls == ["lexsort"]
