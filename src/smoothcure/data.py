@@ -9,7 +9,9 @@ while ``z`` drives the event-time distribution of the susceptible subjects
 Datasets are immutable after construction: all arrays are stored with the
 writeable flag cleared, so they can be shared freely across threads and
 worker processes.  The follow-up-time order that every estimator walks is
-sorted once per dataset, on first use, and shared by all of them.
+sorted once per dataset, on first use, and shared by all of them; so are the
+grouping of the subjects into discrete-covariate cells and the rank check of
+the latency covariates.
 """
 
 from __future__ import annotations
@@ -110,6 +112,29 @@ class _TimeOrder:
 
 
 @dataclass(frozen=True)
+class _Cells:
+    """The subjects grouped by their discrete incidence covariates.
+
+    Two subjects share a cell when every discrete covariate compares equal,
+    so a NaN value makes a cell of its own; with no discrete covariates all
+    subjects share one cell.  ``keys[k]`` holds cell k's discrete values and
+    ``positions[k]`` its subjects' sorted positions in the dataset's time
+    order, ascending.  Cells come in lexicographic order of their keys.
+    """
+
+    keys: np.ndarray
+    positions: tuple[np.ndarray, ...]
+
+    def of(self, values: np.ndarray) -> np.ndarray:
+        """Cell index of each row of discrete ``values``, -1 where no cell matches."""
+        k = self.keys.shape[0]
+        labels = np.unique(np.concatenate([self.keys, values]), axis=0, return_inverse=True)[1]
+        cell = np.full(labels.size, -1)
+        cell[labels[:k]] = np.arange(k)
+        return cell[labels[k:]]
+
+
+@dataclass(frozen=True)
 class SurvivalDataset:
     """Immutable container of (y, delta, x, z) rows plus covariate metadata."""
 
@@ -181,6 +206,21 @@ class SurvivalDataset:
             event_first=_readonly(first[has]),
             event_last=_readonly((first + sizes - 1)[has]),
         )
+
+    @cached_property
+    def _cells(self) -> _Cells:
+        """The discrete-covariate cells, grouped once on first use and then shared."""
+        disc = self.x[self._time_order.order][:, self.meta.discrete_columns()]
+        keys, labels = np.unique(disc, axis=0, return_inverse=True)
+        return _Cells(
+            keys=_readonly(keys),
+            positions=tuple(_readonly(np.flatnonzero(labels == k)) for k in range(len(keys))),
+        )
+
+    @cached_property
+    def _z_full_rank(self) -> bool:
+        """Whether the centred latency covariates have full column rank."""
+        return bool(np.linalg.matrix_rank(self.z - self.z.mean(axis=0)) == self.q)
 
     def take(self, indices) -> "SurvivalDataset":
         """Row subset (e.g. a bootstrap resample), on the stored scale.

@@ -79,21 +79,24 @@ def kernel_weight_matrix(
     x_data = np.atleast_2d(np.asarray(x_data, dtype=float))
     _check_bandwidth(b, meta)
     cont = meta.continuous_columns()
-    disc = meta.discrete_columns()
-    # In place, and without a matrix of ones: each fresh n x n temporary
-    # costs a pass and page faults, and sets the peak memory of presmoothing.
-    w = None
-    for h_j, col in zip(b.h, cont):
-        u = np.subtract(x_data[None, :, col], x_query[:, None, col])
-        u /= h_j
-        k = epanechnikov(u)
-        k /= h_j
-        w = k if w is None else np.multiply(w, k, out=w)
-    if w is None:
-        w = np.ones((x_query.shape[0], x_data.shape[0]))
-    for col in disc:
+    w = _continuous_weights(x_query[:, cont], x_data[:, cont], b.h)
+    for col in meta.discrete_columns():
         w *= x_data[None, :, col] == x_query[:, None, col]
     return w
+
+
+def _continuous_weights(x_query: np.ndarray, x_data: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The continuous factor of :func:`kernel_weight_matrix`, on continuous columns only."""
+    # In place, and without a matrix of ones: each fresh temporary of the
+    # block's size costs a pass and page faults.
+    w = None
+    for c, h_c in enumerate(h):
+        u = np.subtract(x_data[None, :, c], x_query[:, None, c])
+        u /= h_c
+        k = epanechnikov(u)
+        k /= h_c
+        w = k if w is None else np.multiply(w, k, out=w)
+    return np.ones((x_query.shape[0], x_data.shape[0])) if w is None else w
 
 
 def default_grid(lo: float = 0.05, hi: float = DEFAULT_CAP, num: int = 30) -> np.ndarray:
@@ -103,10 +106,10 @@ def default_grid(lo: float = 0.05, hi: float = DEFAULT_CAP, num: int = 30) -> np
     return np.geomspace(lo, hi, num)
 
 
-# The n x n computations run a block of rows at a time, about 256 KB of
+# The kernel computations run a block of rows at a time, about 256 KB of
 # doubles per buffer (a batch of G candidates takes 1/G of the rows): every
 # pass over a block stays in a core's private cache, and no call allocates
-# an n x n float array (18 MB at n = 1500, mapped afresh, page faults
+# an n x n array (18 MB of doubles at n = 1500, mapped afresh, page faults
 # included, on every call).
 _BLOCK_BYTES = 1 << 18
 
@@ -116,62 +119,65 @@ def _block_rows(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class _CvTable:
-    """Bandwidth-free part of the criterion, subjects in time order.
+class _CvCell:
+    """Bandwidth-free part of one discrete cell's share of the criterion.
 
-    ``x_cont`` holds the continuous covariates of the sorted subjects, one
-    row per covariate; ``match`` flags the pairs other than i = j that agree
-    on every discrete covariate and is ``None`` when there are none.
-    ``event_last`` is 1 at the last sorted position of each distinct event
-    time and 0 elsewhere, and ``start`` is each subject's first sorted
-    position with ``y >= Y_i``.
+    Pairs across cells have weight 0, so a cell is scored on its own
+    subjects only, in time order; ``x_cont`` holds their continuous
+    covariates, one row per covariate.  ``events[a]`` counts the event-time
+    positions (the last sorted position of each distinct event time, in any
+    cell) from the cell's subject a up to its next one; a row's running sum
+    is constant over them.  ``start[a]`` is the cell's first subject with
+    ``y >= Y_a``.  An event-time position ends its tie group, so it lies at
+    or after subject a exactly when it lies at or after a's tie-group start:
+    1{Y_a <= t} may switch on at ``start[a]`` even when that tie group
+    starts at a subject of another cell.
     """
 
     x_cont: np.ndarray
-    match: np.ndarray | None
-    event_last: np.ndarray
     start: np.ndarray
+    events: np.ndarray
 
 
-def _cv_table(ds: SurvivalDataset) -> _CvTable:
+def _cv_table(ds: SurvivalDataset) -> tuple[_CvCell, ...]:
     t = ds._time_order
-    x = ds.x[t.order]
-    event_last = np.zeros(ds.n)
-    event_last[t.event_last] = 1.0
-    match = None
-    for col in ds.meta.discrete_columns():
-        same = x[:, None, col] == x[None, :, col]
-        match = same if match is None else np.logical_and(match, same, out=match)
-    if match is not None:
-        np.fill_diagonal(match, False)
-    return _CvTable(
-        x_cont=np.ascontiguousarray(x[:, ds.meta.continuous_columns()].T),
-        match=match,
-        event_last=event_last,
-        start=t.start,
+    x = ds.x[t.order][:, ds.meta.continuous_columns()]
+    # before[k]: event-time positions before sorted position k.
+    before = np.zeros(ds.n + 1)
+    before[t.event_last + 1] = 1.0
+    np.cumsum(before, out=before)
+    return tuple(
+        _CvCell(
+            x_cont=np.ascontiguousarray(x[pos].T),
+            start=np.searchsorted(pos, t.start[pos]),
+            events=np.diff(before[pos], append=before[-1]),
+        )
+        for pos in ds._cells.positions
     )
 
 
-def _cv_scores(table: _CvTable, grids: list[np.ndarray]) -> np.ndarray:
+def _cv_scores(table: tuple[_CvCell, ...], grids: list[np.ndarray]) -> np.ndarray:
     """Criterion of every candidate in the product of per-covariate grids.
 
     ``grids`` holds one array of values per continuous covariate, and the
     scores come in :func:`itertools.product` order (the last covariate's
     value varies fastest).  The Gaussian constants cancel in the
     Nadaraya-Watson ratio, so row i of a candidate holds the weights
-    exp(-sum_c D_c^2 / (2 h_c^2)) in time order.  Their running sum, less
-    the row total from position ``start[i]`` on and divided by that total,
-    is H(t | X_i) - 1{Y_i <= t} at every sorted position; the squares at the
-    event-time positions sum to the residual.  A candidate under which no
-    row has leave-one-out mass scores +inf.
+    exp(-sum_c D_c^2 / (2 h_c^2)) of its cell's subjects, in time order.
+    Their running sum, less the row total from ``start[i]`` on and divided
+    by that total, is H(t | X_i) - 1{Y_i <= t} at every event-time position
+    up to the next subject; the squares times the ``events`` counts sum to
+    the residual.  A candidate under which no row has leave-one-out
+    mass scores +inf.
 
-    Rows are scored a block at a time, with the last covariate's grid as a
-    batch axis.  Each block forms its squared distances once per covariate
-    and the last covariate's factors exp(-D^2 / (2 h^2)) once per grid
-    value; every combination of the other covariates multiplies them by its
-    own factor.  Beyond the blocks, memory is O(K + n) for K candidates.
+    Each cell's rows are scored a block at a time, with the last
+    covariate's grid as a batch axis.  Each block forms its squared
+    distances once per covariate and the last covariate's factors
+    exp(-D^2 / (2 h^2)) once per grid value; every combination of the other
+    covariates multiplies them by its own factor.  The block totals are
+    summed with compensation, cell by cell and block by block.  Beyond the
+    blocks, sized for the largest cell, memory is O(K + n) for K candidates.
     """
-    n = table.start.size
     n_cont = len(grids)
     # The scale stays finite however small h is, so a zero distance keeps
     # weight 1 instead of becoming 0 * inf; D^2 times it may overflow to
@@ -184,66 +190,68 @@ def _cv_scores(table: _CvTable, grids: list[np.ndarray]) -> np.ndarray:
     batch = scales[-1] if scales else np.zeros(1)
     outer = list(itertools.product(*scales[:-1]))
     g = batch.size
-    step = min(n, _block_rows(g * n))
-    d2 = np.empty((n_cont, step, n))
-    outer_work = np.empty((2, step, n)) if n_cont > 1 else None
-    factors = np.empty(g * step * n)
+    steps = [min(cell.start.size, _block_rows(g * cell.start.size)) for cell in table]
+    size = max(step * cell.start.size for step, cell in zip(steps, table))
+    d2_work = np.empty((n_cont, size))
+    outer_work = np.empty((2, size)) if n_cont > 1 else None
+    factors = np.empty(g * size)
     weights = np.empty_like(factors) if n_cont > 1 else factors
-    mass_work = np.empty(g * step)
-    resid_work = np.empty(g * step)
+    mass_work = np.empty(g * max(steps))
+    resid_work = np.empty_like(mass_work)
     block_sum = np.empty((len(outer), g))
     block_max = np.empty((len(outer), g))
     total = np.zeros(block_sum.size)
     carry = np.zeros(block_sum.size)
     has_mass = np.zeros(block_sum.size, dtype=bool)
     with np.errstate(over="ignore"):
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            m = hi - lo
-            for c, xc in enumerate(table.x_cont):
-                np.subtract(xc[lo:hi, None], xc[None, :], out=d2[c, :m])
-                np.square(d2[c, :m], out=d2[c, :m])
-            # Contiguous views, so a partial last block reshapes freely.
-            f = factors[: g * m * n].reshape(g, m, n)
-            if n_cont:
-                np.multiply(d2[-1, :m], batch[:, None, None], out=f)
-                np.exp(f, out=f)
-            else:
-                f.fill(1.0)
-            rows = np.arange(m)
-            if table.match is None:
+        for cell, step in zip(table, steps):
+            n = cell.start.size
+            for lo in range(0, n, step):
+                hi = min(lo + step, n)
+                m = hi - lo
+                # Contiguous views, so a partial last block reshapes freely.
+                d2 = d2_work[:, : m * n].reshape(n_cont, m, n)
+                for c, xc in enumerate(cell.x_cont):
+                    np.subtract(xc[lo:hi, None], xc[None, :], out=d2[c])
+                    np.square(d2[c], out=d2[c])
+                f = factors[: g * m * n].reshape(g, m, n)
+                if n_cont:
+                    np.multiply(d2[-1], batch[:, None, None], out=f)
+                    np.exp(f, out=f)
+                else:
+                    f.fill(1.0)
+                rows = np.arange(m)
                 f[:, rows, rows + lo] = 0.0
-            else:
-                f *= table.match[lo:hi]
-            # Flat position of (row, start[row]) in each candidate's weights.
-            at = (((np.arange(g) * m)[:, None] + rows) * n + table.start[lo:hi]).ravel()
-            for o, outer_scale in enumerate(outer):
-                w = f
-                if outer_scale:
-                    e, part = outer_work[0, :m], outer_work[1, :m]
-                    for c, s in enumerate(outer_scale):
-                        np.multiply(d2[c, :m], s, out=part if c else e)
-                        if c:
-                            e += part
-                    np.exp(e, out=e)
-                    w = np.multiply(f, e, out=weights[: g * m * n].reshape(g, m, n))
-                w = w.reshape(g * m, n)
-                mass = w.sum(axis=1, out=mass_work[: g * m])
-                w.reshape(-1)[at] -= mass
-                np.cumsum(w, axis=1, out=w)
-                # Normalize before squaring: mass**2 can underflow where mass does not.
-                w /= np.where(mass > 0.0, mass, 1.0)[:, None]
-                resid = np.einsum("ij,ij,j->i", w, w, table.event_last, out=resid_work[: g * m])
-                # A row without mass has all-zero weights and a residual of 0.
-                resid.reshape(g, m).sum(axis=1, out=block_sum[o])
-                mass.reshape(g, m).max(axis=1, out=block_max[o])
-            # Compensated sum over blocks, so the totals do not depend on
-            # the block size beyond rounding.
-            y = block_sum.ravel() - carry
-            t = total + y
-            carry = (t - total) - y
-            total = t
-            has_mass |= block_max.ravel() > 0.0
+                # Flat position of (row, start[row]) in each candidate's weights.
+                at = (((np.arange(g) * m)[:, None] + rows) * n + cell.start[lo:hi]).ravel()
+                for o, outer_scale in enumerate(outer):
+                    w = f
+                    if outer_scale:
+                        e = outer_work[0, : m * n].reshape(m, n)
+                        part = outer_work[1, : m * n].reshape(m, n)
+                        for c, s in enumerate(outer_scale):
+                            np.multiply(d2[c], s, out=part if c else e)
+                            if c:
+                                e += part
+                        np.exp(e, out=e)
+                        w = np.multiply(f, e, out=weights[: g * m * n].reshape(g, m, n))
+                    w = w.reshape(g * m, n)
+                    mass = w.sum(axis=1, out=mass_work[: g * m])
+                    w.reshape(-1)[at] -= mass
+                    np.cumsum(w, axis=1, out=w)
+                    # Normalize before squaring: mass**2 can underflow where mass does not.
+                    w /= np.where(mass > 0.0, mass, 1.0)[:, None]
+                    resid = np.einsum("ij,ij,j->i", w, w, cell.events, out=resid_work[: g * m])
+                    # A row without mass has all-zero weights and a residual of 0.
+                    resid.reshape(g, m).sum(axis=1, out=block_sum[o])
+                    mass.reshape(g, m).max(axis=1, out=block_max[o])
+                # Compensated sum over cells and blocks, so the totals do
+                # not depend on the block size beyond rounding.
+                y = block_sum.ravel() - carry
+                t = total + y
+                carry = (t - total) - y
+                total = t
+                has_mass |= block_max.ravel() > 0.0
     return np.where(has_mass, total, np.inf)
 
 
@@ -264,10 +272,11 @@ def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
 
     With the subjects sorted by follow-up time every estimate of H is a
     running sum along a row, so the score costs O(n^2) time for any number
-    of event times; no n x T table is formed.  This is the one-candidate
-    case of the scan :func:`cv_bandwidth` makes.  Memory is O(n) beyond a
-    few blocks of rows of about 256 KB each, plus an n x n boolean mask when
-    there are discrete covariates.
+    of event times; no n x T table is formed.  Subjects in different
+    discrete cells have weight 0, so each cell of n_k subjects is scored on
+    its own and the cost is O(sum_k n_k^2); no pair across cells is formed.
+    This is the one-candidate case of the scan :func:`cv_bandwidth` makes.
+    Memory is O(n) beyond a few blocks of rows of about 256 KB each.
     """
     _check_bandwidth(b, ds.meta)
     return float(_cv_scores(_cv_table(ds), list(b.h[:, None]))[0])
@@ -288,16 +297,17 @@ def cv_bandwidth(
     compact-support product kernel of the estimators.  The criterion is
     deterministic.
 
-    The bandwidth-free part of the criterion (time order, sorted covariates,
-    discrete-match mask) is built once.  All candidates are then scored
-    together, a block of rows at a time, with the last covariate's grid of
-    G values as a batch axis: a block forms its squared distances once per
-    covariate and the last covariate's Gaussian factors once per value, and
-    each combination of the other covariates multiplies those factors by its
-    own.  A G x G grid thus takes 2G exponentials per pair of subjects
-    instead of G^2.  Time is O(n^2) per candidate.  Memory is O(K + n) for
-    K candidates beyond a few blocks of about 256 KB each, plus the n x n
-    boolean mask of the discrete covariates.
+    The bandwidth-free part of the criterion (time order, discrete cells,
+    each cell's sorted covariates) is built once.  All candidates are then
+    scored together, one discrete cell and a block of its rows at a time,
+    with the last covariate's grid of G values as a batch axis: a block
+    forms its squared distances once per covariate and the last covariate's
+    Gaussian factors once per value, and each combination of the other
+    covariates multiplies those factors by its own.  A G x G grid thus takes
+    2G exponentials per pair of subjects instead of G^2.  Only pairs within
+    a cell are formed, so time is O(sum_k n_k^2) per candidate for cells of
+    n_k subjects, O(n^2) without discrete covariates.  Memory is O(K + n)
+    for K candidates beyond a few blocks of about 256 KB each.
     """
     if not ds.meta.standardized:
         raise ConfigurationError("bandwidth selection expects standardized covariates")

@@ -169,7 +169,7 @@ def weighted_partial_fit(
         raise NumericalError("partial likelihood needs at least one event")
     z = ds.z
     q = ds.q
-    if np.linalg.matrix_rank(z - z.mean(axis=0)) < q:
+    if not ds._z_full_rank:
         raise SingularHessianError("latency covariates have singular variance")
 
     zz = (z[:, :, None] * z[:, None, :]).reshape(ds.n, q * q)

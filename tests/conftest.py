@@ -57,7 +57,10 @@ def hostile_kernel_cases(rng):
     ``empty-neighborhoods`` case has tight clusters far apart plus one
     isolated subject, so at its small bandwidths some leave-one-out Gaussian
     neighborhoods carry exactly zero mass while the others stay well above
-    underflow.
+    underflow.  The ``cell-split`` case has a discrete covariate whose cells
+    are scored apart: one cell holds a single subject (no leave-one-out
+    mass), one holds no event, and follow-up times tie across cells, so some
+    subjects' tie groups start at a subject of another cell.
     """
     cases = []
     n = 40
@@ -105,5 +108,22 @@ def hostile_kernel_cases(rng):
         "empty-neighborhoods",
         build_dataset(rng.exponential(1.0, n), delta, x_cols=[x]),
         (0.005, 0.01),
+    ))
+    n = 30
+    level = np.repeat([0.0, 1.0, 2.0, 3.0], [13, 9, 1, 7])
+    y = rng.exponential(1.0, n).round(2)
+    delta = (rng.random(n) < 0.7).astype(int)
+    delta[level == 1.0] = 0
+    delta[0] = 1
+    # An event of cell 0 ties with subjects of cells 1 and 3; the tie group
+    # starts at the event (events sort first within a tie).
+    y[[0, 13, 14, 23]] = y[0]
+    # Censored subjects of cells 1, 2 and 3 tie at one time.
+    y[[15, 22, 24]] = 1.5
+    delta[[15, 22, 24]] = 0
+    cases.append((
+        "cell-split",
+        build_dataset(y, delta, x_cols=[rng.normal(size=n), level], discrete=[False, True]),
+        (0.3, 1.0, 4.0),
     ))
     return cases

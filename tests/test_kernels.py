@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from smoothcure import (
     standardize_continuous,
 )
 from smoothcure import kernels
-from smoothcure.kernels import cv_criterion, kernel_weight_matrix
+from smoothcure.kernels import DEFAULT_CAP, cv_criterion, kernel_weight_matrix
+from smoothcure.simulate import DEFAULT_SEED, SCENARIOS, generate, make_scenario
 
 from conftest import build_dataset, hostile_kernel_cases, random_dataset
 
@@ -147,7 +150,7 @@ def direct_cv_criterion(ds, b):
 
 
 class TestCvCriterionOracle:
-    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("case", range(6))
     def test_matches_direct_formula(self, rng, case):
         name, ds, values = hostile_kernel_cases(rng)[case]
         for h in values:
@@ -157,13 +160,33 @@ class TestCvCriterionOracle:
             assert cv_criterion(ds, b) == pytest.approx(expected, rel=1e-12, abs=0.0), (name, h)
 
     @pytest.mark.parametrize("rows", [1, 7])
-    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("case", range(6))
     def test_row_blocks_match_direct_formula(self, rng, monkeypatch, case, rows):
         # The score is built a block of rows at a time; blocks of 1 and of 7
         # rows (most cases end on a partial block) give the same criterion.
         name, ds, values = hostile_kernel_cases(rng)[case]
         monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * ds.n * rows)
         assert kernels._block_rows(ds.n) == rows
+        for h in values:
+            b = Bandwidth(np.full(ds.meta.n_continuous, h))
+            expected = direct_cv_criterion(ds, b)
+            assert cv_criterion(ds, b) == pytest.approx(expected, rel=1e-12, abs=0.0), (name, h)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_cell_split_in_row_blocks(self, rng, monkeypatch, rows):
+        # Each discrete cell is scored on its own columns, in blocks of
+        # exactly ``rows`` rows whatever the cell's size.
+        name, ds, values = hostile_kernel_cases(rng)[5]
+        t, cells = ds._time_order, ds._cells.positions
+        cell_at = np.empty(ds.n, dtype=int)
+        for k, positions in enumerate(cells):
+            cell_at[positions] = k
+        # A singleton cell, a cell without events, and tie groups that
+        # start at a subject of another cell.
+        assert min(p.size for p in cells) == 1
+        assert min(ds.delta[t.order[p]].sum() for p in cells) == 0
+        assert np.any(cell_at[t.start] != cell_at)
+        monkeypatch.setattr(kernels, "_block_rows", lambda n: rows)
         for h in values:
             b = Bandwidth(np.full(ds.meta.n_continuous, h))
             expected = direct_cv_criterion(ds, b)
@@ -250,7 +273,7 @@ class TestBatchedScores:
     """``_cv_scores`` scores a product grid in batches; each score is the per-candidate criterion."""
 
     @pytest.mark.parametrize("rows", [1, 7])
-    @pytest.mark.parametrize("case", range(7))
+    @pytest.mark.parametrize("case", range(8))
     def test_batch_matches_per_candidate(self, rng, monkeypatch, case, rows):
         name, ds, values = batched_cases(rng)[case]
         grid = np.asarray(values)
@@ -269,7 +292,7 @@ class TestBatchedScores:
             expected = direct_cv_criterion(ds, Bandwidth(np.array(combo)))
             assert score == pytest.approx(expected, rel=1e-12, abs=0.0), (name, combo)
 
-    @pytest.mark.parametrize("case", range(7))
+    @pytest.mark.parametrize("case", range(8))
     def test_cv_bandwidth_takes_first_minimizer(self, rng, monkeypatch, case):
         name, ds, values = batched_cases(rng)[case]
         ds, _ = standardize_continuous(ds)
@@ -407,3 +430,22 @@ def test_weight_matrix_matches_scalar(rng):
         for j in range(7):
             pair = kernel_weight_matrix(ds.x[i:i + 1], ds.x[j:j + 1], b, ds.meta)
             assert m[i, j] == pytest.approx(pair[0, 0], abs=1e-14)
+
+
+# Grid index of each registry scenario's selected bandwidth, per continuous
+# covariate, recorded from the exact O(n^2) scan before it was split by
+# discrete cells.
+PINNED = json.loads(Path(__file__).with_name("cv_bandwidth_pins.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(SCENARIOS))
+def test_registry_bandwidth_is_pinned(key):
+    """Every registry scenario (default n, replication 0) selects its pinned grid point.
+
+    The 30-point default grid, or 12 x 12 with two continuous covariates;
+    a faster criterion must not move the selection.
+    """
+    ds, _ = standardize_continuous(generate(make_scenario(key), DEFAULT_SEED, 0))
+    grid = default_grid(num=30 if ds.meta.n_continuous == 1 else 12)
+    expected = np.minimum(grid[PINNED[key]], DEFAULT_CAP)
+    assert tuple(cv_bandwidth(ds, grid=grid).h) == tuple(expected)

@@ -10,7 +10,7 @@ from smoothcure import (
     kaplan_meier,
     presmooth_all,
 )
-from smoothcure import kernels
+from smoothcure import kernels, presmoother
 from smoothcure.kernels import kernel_weight_matrix
 
 from conftest import build_dataset, hostile_kernel_cases, random_dataset
@@ -37,7 +37,7 @@ def direct_presmooth(ds, b):
 
 
 class TestDirectFormulaOracle:
-    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("case", range(6))
     def test_presmooth_all(self, rng, case):
         name, ds, values = hostile_kernel_cases(rng)[case]
         for h in values:
@@ -46,7 +46,7 @@ class TestDirectFormulaOracle:
             assert np.max(np.abs(got - direct_presmooth(ds, b))) <= 1e-12, (name, h)
 
     @pytest.mark.parametrize("rows", [1, 7])
-    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("case", range(6))
     def test_presmooth_all_in_row_blocks(self, rng, monkeypatch, case, rows):
         # The weights are built a block of query rows at a time; blocks of 1
         # and of 7 rows (most cases end on a partial block) change nothing.
@@ -57,7 +57,7 @@ class TestDirectFormulaOracle:
             got = presmooth_all(ds, b)
             assert np.max(np.abs(got - direct_presmooth(ds, b))) <= 1e-12, (name, h)
 
-    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("case", range(6))
     def test_estimate_cure_prob(self, rng, case):
         # Every third subject's row as an (m, p) query block.
         name, ds, values = hostile_kernel_cases(rng)[case]
@@ -66,6 +66,17 @@ class TestDirectFormulaOracle:
             got = estimate_cure_prob(ds, ds.x[::3], b)
             assert got.shape == (len(range(0, ds.n, 3)),)
             assert np.max(np.abs(got - direct_presmooth(ds, b)[::3])) <= 1e-12, (name, h)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_cell_split_in_row_blocks(self, rng, monkeypatch, rows):
+        # Each discrete cell's query rows run in blocks of exactly ``rows``
+        # rows over that cell's subjects only.
+        name, ds, values = hostile_kernel_cases(rng)[5]
+        monkeypatch.setattr(presmoother, "_block_rows", lambda n: rows)
+        for h in values:
+            b = Bandwidth(np.full(ds.meta.n_continuous, h))
+            got = presmooth_all(ds, b)
+            assert np.max(np.abs(got - direct_presmooth(ds, b))) <= 1e-12, (name, h)
 
     def test_every_tied_event_at_the_last_time(self):
         # The last event time has two tied events and a tied censored
@@ -81,6 +92,16 @@ class TestEstimateCureProb:
         query = np.array([[1.0, 2.0]])  # level matching nobody
         with pytest.raises(EmptyNeighborhoodError):
             estimate_cure_prob(ds, query, Bandwidth(np.empty(0)))
+
+    def test_unseen_cell_raises(self, rng):
+        # The middle query row has a discrete level that no subject has.
+        name, ds, values = hostile_kernel_cases(rng)[5]
+        b = Bandwidth(np.array([values[-1]]))
+        query = np.array(ds.x[:3])
+        assert np.all(np.isfinite(estimate_cure_prob(ds, query, b)))
+        query[1, 2] = 9.0
+        with pytest.raises(EmptyNeighborhoodError):
+            estimate_cure_prob(ds, query, b)
 
     def test_hand_computed_weights(self):
         # Kernel values proportional to (4, 3, 2, 1): distances chosen so the
