@@ -123,6 +123,19 @@ def fit_incidence(
         raise SingularHessianError(f"need more subjects than parameters (n={n}, p={p})")
     if np.linalg.matrix_rank(x) < p:
         raise SingularHessianError("incidence design matrix is rank deficient")
+    return _newton_incidence(pihat, x, init, tol, max_iter)
+
+
+def _newton_incidence(
+    pihat: np.ndarray,
+    x: np.ndarray,
+    init: np.ndarray | None = None,
+    tol: float = 1e-8,
+    max_iter: int = 100,
+) -> IncidenceFit:
+    """:func:`fit_incidence` without its input checks, for a caller that
+    refits on the same float design matrix ``x`` it has already checked."""
+    n, p = x.shape
 
     def derivatives(gamma):
         return soft_label_score(gamma, pihat, x), lambda: -soft_label_hessian(gamma, pihat, x)

@@ -16,9 +16,13 @@ runs the same loop and also refits the incidence between a) and b).
 Events always carry weight one.  The zero-tail convention forces the
 susceptible survival to zero beyond the largest event time, so censored
 subjects in the plateau get weight zero and drop out of every risk-set sum.
-Ties are handled through risk-set sums evaluated at each event's own time
-(Breslow convention), and the iteration starts from the fit that ignores the
-cured fraction altogether.
+Ties follow the Breslow convention: every event at a time t sees the same
+risk set {j : Y_j >= t}, censored subjects tied with it included.  The
+partial likelihood is written in counting-process form, as sums over the
+distinct event times rather than over subjects, each formed by one pass
+over the subjects in the dataset's time order; its score and information
+need no per-subject outer products.  The iteration starts from the fit that
+ignores the cured fraction altogether.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .data import SurvivalDataset
+from .data import SurvivalDataset, _TimeOrder
 from .errors import NumericalError, SingularHessianError
 from .incidence import expit
 from .newton import damped_newton
@@ -137,17 +141,68 @@ def compute_weights(
     return np.where(ds.delta == 1, 1.0, g)
 
 
-def _riskset_sums(ds: SurvivalDataset, values: np.ndarray) -> np.ndarray:
-    """For each subject i, the sum of ``values`` over {j : Y_j >= Y_i}.
+def _event_riskset_sums(t: _TimeOrder, values: np.ndarray) -> np.ndarray:
+    """Sum of ``values`` over the risk set {j : Y_j >= t_k} of each distinct
+    event time t_k.
 
-    ``values`` may be (n,) or (n, d); summation runs in the dataset's fixed
-    descending time order, so ties are aggregated exactly.
+    ``values`` holds one row per subject in the dataset's time order and may
+    be (n,) or (n, d); summation runs by decreasing time, so ties (events
+    with each other and with censored subjects) are aggregated exactly.
+    """
+    return np.cumsum(values[::-1], axis=0)[::-1][t.event_first]
+
+
+def _partial_likelihood(ds: SurvivalDataset, weights: np.ndarray):
+    """Objective and derivatives of the weighted log partial likelihood, in
+    the form :func:`smoothcure.newton.damped_newton` takes them.
+
+    Counting-process form with Breslow ties: with r_j = w_j e^{beta'z_j},
+    d_k events at the k-th distinct event time t_k and s0_k, s1_k the risk-set
+    sums of r and r z at t_k (z-bar_k = s1_k / s0_k), the objective is
+    sum_events beta'z - sum_k d_k log s0_k, the score sum_events z -
+    sum_k d_k z-bar_k and the information sum_j r_j A_j z_j z_j' -
+    sum_k d_k z-bar_k z-bar_k', where A_j = sum_{t_k <= Y_j} d_k / s0_k is the
+    Breslow hazard of the current iterate at Y_j.  Every sum runs over the
+    subjects in time order once, so no (n, q^2) array is formed.  The
+    exponentials are shifted by the largest linear predictor for overflow
+    safety; the shift cancels in the score and the information.
     """
     t = ds._time_order
-    tail = np.cumsum(values[t.order][::-1], axis=0)[::-1]
-    out = np.empty_like(values, dtype=float)
-    out[t.order] = tail[t.start]
-    return out
+    z = ds.z[t.order]
+    w = np.asarray(weights, dtype=float)[t.order]
+    d = t.event_counts.astype(float)
+    n_events = float(np.sum(d))
+    z_events = np.sum(ds.z[ds.delta == 1], axis=0)
+    # Risk weights and event-time sums at the point the objective saw last;
+    # the Newton loop always asks for derivatives at that point.
+    last: dict[str, np.ndarray] = {}
+
+    def objective(beta):
+        eta = z @ beta
+        shift = float(np.max(eta))
+        r = w * np.exp(eta - shift)
+        s0 = _event_riskset_sums(t, r)
+        if np.any(s0 <= 0.0):
+            t_bad = t.event_times[np.flatnonzero(s0 <= 0.0)[0]]
+            raise NumericalError(f"zero weighted risk-set mass at event time {t_bad}")
+        last.update(beta=beta, r=r, s0=s0)
+        return float(z_events @ beta - d @ np.log(s0) - n_events * shift)
+
+    def derivatives(beta):
+        if "beta" not in last or not np.array_equal(beta, last["beta"]):
+            objective(beta)
+        r, s0 = last["r"], last["s0"]
+        zbar = _event_riskset_sums(t, r[:, None] * z) / s0[:, None]
+
+        def information():
+            hazard_jumps = np.zeros(ds.n)
+            hazard_jumps[t.event_first] = d / s0
+            ra = r * np.cumsum(hazard_jumps)
+            return (z.T * ra) @ z - (zbar.T * d) @ zbar
+
+        return z_events - d @ zbar, information
+
+    return objective, derivatives
 
 
 def weighted_partial_fit(
@@ -160,51 +215,14 @@ def weighted_partial_fit(
     """Newton maximization of the weight-adjusted log partial likelihood.
 
     Each event contributes beta'Z_i minus the log of the weighted risk-set
-    sum at its own time.  Risk-set exponentials are shifted by the largest
-    linear predictor for overflow safety; the shift cancels in the score.
+    sum at its own time (Breslow ties).  The sums are formed in the
+    dataset's time order at the distinct event times, in the
+    counting-process form of :func:`_partial_likelihood`.
     """
-    weights = np.asarray(weights, dtype=float)
-    events = ds.delta == 1
-    if not np.any(events):
-        raise NumericalError("partial likelihood needs at least one event")
-    z = ds.z
-    q = ds.q
     if not ds._z_full_rank:
         raise SingularHessianError("latency covariates have singular variance")
-
-    zz = (z[:, :, None] * z[:, None, :]).reshape(ds.n, q * q)
-    # Risk weights and risk-set sums at the point the objective saw last;
-    # the Newton loop always asks for derivatives at that point, so each
-    # iteration costs three risk-set sums (trial point, s1 and s2).
-    last: dict[str, np.ndarray] = {}
-
-    def objective(beta):
-        eta = z @ beta
-        shift = float(np.max(eta))
-        r = weights * np.exp(eta - shift)
-        s0 = _riskset_sums(ds, r)
-        bad = events & (s0 <= 0.0)
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            raise NumericalError(f"risk set at event index {i} (time {ds.y[i]}) has zero mass")
-        last.update(beta=beta, r=r, s0=s0)
-        return float(np.sum(eta[events] - np.log(s0[events]) - shift))
-
-    def derivatives(beta):
-        if not np.array_equal(beta, last["beta"]):
-            objective(beta)
-        r, s0 = last["r"], last["s0"]
-        zbar = _riskset_sums(ds, r[:, None] * z)[events] / s0[events, None]
-
-        def information():
-            s2 = _riskset_sums(ds, r[:, None] * zz).reshape(ds.n, q, q)
-            return np.sum(
-                s2[events] / s0[events, None, None] - zbar[:, :, None] * zbar[:, None, :], axis=0
-            )
-
-        return np.sum(z[events] - zbar, axis=0), information
-
-    res = damped_newton(objective, derivatives, np.zeros(q) if init is None else init, tol, max_iter)
+    objective, derivatives = _partial_likelihood(ds, weights)
+    res = damped_newton(objective, derivatives, np.zeros(ds.q) if init is None else init, tol, max_iter)
     return PartialLikelihoodFit(res.x, res.converged, res.iterations, res.score_norm)
 
 
@@ -216,7 +234,7 @@ def breslow_update(ds: SurvivalDataset, weights: np.ndarray, beta: np.ndarray) -
     """
     t = ds._time_order
     r = np.asarray(weights, dtype=float) * np.exp(ds.z @ np.asarray(beta, dtype=float))
-    denom = np.cumsum(r[t.order][::-1])[::-1][t.event_first]
+    denom = _event_riskset_sums(t, r[t.order])
     if np.any(denom <= 0.0):
         t_bad = t.event_times[np.flatnonzero(denom <= 0.0)[0]]
         raise NumericalError(f"zero weighted risk-set mass at event time {t_bad}")

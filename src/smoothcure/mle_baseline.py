@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SurvivalDataset
-from .incidence import IncidenceFit, _log_phi_pair, fit_incidence
+from .incidence import IncidenceFit, _log_phi_pair, _newton_incidence, fit_incidence
 from .latency_cox import LatencyFit, StepFunction, _log_susceptible_survival, em_iterates
 
 __all__ = ["CureModelFit", "fit_mle_em", "observed_loglik"]
@@ -94,7 +94,8 @@ def fit_mle_em(ds: SurvivalDataset, tol: float = 1e-7, max_iter: int = 500) -> C
     gamma = fit_incidence(1.0 - labels, ds.x).gamma
 
     def refit_incidence(weights, gamma):
-        inc = fit_incidence(1.0 - weights, ds.x, init=gamma)
+        # The start fit above checked ds.x; the refits skip its rank check.
+        inc = _newton_incidence(1.0 - weights, ds.x, init=gamma)
         return inc.gamma, inc.converged
 
     path = []

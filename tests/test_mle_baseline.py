@@ -5,6 +5,7 @@ import pytest
 
 from smoothcure import (
     CureModelError,
+    SingularHessianError,
     StepFunction,
     breslow_update,
     compute_weights,
@@ -91,6 +92,28 @@ class TestFitMleEm:
         # and the incidence M-step with soft responses w is fit_incidence on 1-w
         inc = fit_incidence(1.0 - w, ds.x, init=gamma)
         assert inc.converged
+
+    def test_incidence_rank_checked_once(self, monkeypatch):
+        # Every pass refits the incidence on the same x; only the start fit
+        # checks its rank.
+        ds = generate(make_scenario("m1/s1/c1", n=200), seed=31)
+        real = np.linalg.matrix_rank
+        checked = []
+
+        def counted(a, *args, **kwargs):
+            checked.append(a is ds.x)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        fit = fit_mle_em(ds)
+        assert fit.iterations > 1 and checked.count(True) == 1
+
+    def test_rank_deficient_incidence_rejected(self, rng):
+        n = 20
+        ds = build_dataset(rng.exponential(1.0, n), np.ones(n, int),
+                           x_cols=[np.full(n, 2.0)], z_cols=[rng.normal(size=n)])
+        with pytest.raises(SingularHessianError):
+            fit_mle_em(ds)
 
     def test_permutation_invariance(self, rng):
         ds = random_dataset(rng, n=30)

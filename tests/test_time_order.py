@@ -1,10 +1,10 @@
 """The one follow-up-time order per dataset, checked against brute-force sums.
 
-Every reader of the time order (risk-set sums, the Breslow update,
-presmoothing and the bandwidth criterion) is compared with a direct O(n^2)
-evaluation of its definition on inputs where the order is easy to get
-wrong: tie groups that mix events with censored subjects, heavy ties and
-duplicated rows.
+Every reader of the time order (risk-set sums, the partial likelihood and
+its derivatives, the Breslow update, presmoothing and the bandwidth
+criterion) is compared with a direct O(n^2) evaluation of its definition on
+inputs where the order is easy to get wrong: tie groups that mix events
+with censored subjects, heavy ties and duplicated rows.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 
 from smoothcure import Bandwidth, breslow_update, fit_presmoothing, make_scenario, presmooth_all
 from smoothcure.kernels import cv_criterion
-from smoothcure.latency_cox import _riskset_sums
+from smoothcure.latency_cox import _event_riskset_sums, _partial_likelihood
 from smoothcure.simulate import generate
 
 from conftest import build_dataset
@@ -51,7 +51,7 @@ def event_times(ds):
 
 
 def riskset_oracle(ds, values):
-    return np.array([np.sum(values[ds.y >= ds.y[i]], axis=0) for i in range(ds.n)])
+    return np.array([np.sum(values[ds.y >= t], axis=0) for t in event_times(ds)])
 
 
 def breslow_oracle(ds, w, beta):
@@ -91,8 +91,11 @@ def cv_oracle(ds, h):
 class TestAgainstBruteForce:
     def test_riskset_sums(self, name, ds):
         values = np.column_stack([np.exp(ds.z[:, 0]), ds.z[:, 0], np.ones(ds.n)])
-        np.testing.assert_allclose(_riskset_sums(ds, values), riskset_oracle(ds, values), rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(_riskset_sums(ds, values[:, 0]), riskset_oracle(ds, values[:, 0]), rtol=1e-12)
+        t = ds._time_order
+        got = _event_riskset_sums(t, values[t.order])
+        np.testing.assert_allclose(got, riskset_oracle(ds, values), rtol=1e-12, atol=1e-12)
+        got = _event_riskset_sums(t, values[t.order, 0])
+        np.testing.assert_allclose(got, riskset_oracle(ds, values[:, 0]), rtol=1e-12)
 
     def test_breslow_update(self, name, ds):
         w = np.where(ds.delta == 1, 1.0, np.linspace(0.2, 0.9, ds.n))
@@ -124,6 +127,56 @@ class TestAgainstBruteForce:
         assert np.array_equal(y[t.event_last], t.event_times)
         after = np.minimum(t.event_last + 1, ds.n - 1)
         assert np.all((t.event_last == ds.n - 1) | (y[after] > t.event_times))
+
+
+def with_plateau(ds, seed):
+    """The case with a second latency covariate and three censored subjects
+    beyond its last event time (two of them tied), plus their weights: 1 for
+    events, in (0.2, 1) for the other censored subjects and 0 in the plateau."""
+    rng = np.random.default_rng(seed)
+    n = ds.n + 3
+    tail = ds.y[ds.delta == 1].max() + np.array([0.5, 0.5, 1.0])
+    out = build_dataset(
+        np.concatenate([ds.y, tail]), np.concatenate([ds.delta, [0, 0, 0]]),
+        x_cols=[rng.normal(size=n)],
+        z_cols=[np.concatenate([ds.z[:, 0], rng.normal(size=3)]), rng.normal(size=n)])
+    w = np.where(out.delta == 1, 1.0, rng.uniform(0.2, 1.0, n))
+    w[ds.n:] = 0.0
+    return out, w
+
+
+def partial_loglik_oracle(ds, w, beta):
+    """Breslow log partial likelihood, one event at a time."""
+    eta = ds.z @ beta
+    total = 0.0
+    for i in np.flatnonzero(ds.delta == 1):
+        at_risk = ds.y >= ds.y[i]
+        total += eta[i] - np.log(np.sum(w[at_risk] * np.exp(eta[at_risk])))
+    return total
+
+
+@pytest.mark.parametrize("name,ds", CASES, ids=IDS)
+def test_partial_likelihood_derivatives(name, ds):
+    # q = 2, so the off-diagonal information entries are checked too.
+    ds, w = with_plateau(ds, seed=len(name))
+    beta = np.array([0.4, -0.3])
+    objective, derivatives = _partial_likelihood(ds, w)
+    assert objective(beta) == pytest.approx(partial_loglik_oracle(ds, w, beta), rel=1e-12)
+    score, information = derivatives(beta)
+
+    def loglik(step):
+        return partial_loglik_oracle(ds, w, beta + step)
+
+    h = 1e-4
+    e = h * np.eye(2)
+    fd_score = [(loglik(e[j]) - loglik(-e[j])) / (2 * h) for j in range(2)]
+    fd_information = [
+        [-(loglik(e[j] + e[k]) - loglik(e[j] - e[k]) - loglik(e[k] - e[j]) + loglik(-e[j] - e[k])) / (4 * h * h)
+         for k in range(2)]
+        for j in range(2)
+    ]
+    np.testing.assert_allclose(score, fd_score, rtol=1e-5)
+    np.testing.assert_allclose(information(), fd_information, rtol=1e-5)
 
 
 def test_time_order_is_cached_and_read_only():
