@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
     SingularHessianError,
 )
-from .incidence import IncidenceFit, fit_incidence, logistic_phi, soft_label_loglik
+from .incidence import IncidenceFit, fit_incidence, soft_label_loglik
 from .inference import (
     BootstrapResult,
     bootstrap_se,
@@ -108,7 +108,6 @@ __all__ = [
     "generate",
     "kaplan_meier",
     "load_csv",
-    "logistic_phi",
     "make_scenario",
     "observed_loglik",
     "plateau_fraction",

@@ -19,12 +19,12 @@ from . import __version__
 from .data import CsvSchema, load_csv
 from .errors import ConfigurationError, CureModelError
 from .incidence import expit
-from .inference import bootstrap_se, param_names, prediction_error
+from .inference import bootstrap_se, prediction_error
 from .kernels import Bandwidth, default_grid
 from .latency_cox import compute_weights
 from .mle_baseline import CureModelFit
 from .nonparam import kaplan_meier
-from .pipeline import fit_cure_model
+from .pipeline import METHODS, fit_cure_model
 from .simulate import DEFAULT_SEED, make_scenario, run_study
 
 __all__ = ["main"]
@@ -85,7 +85,7 @@ def _add_schema_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=["presmooth", "mle", "both"], default="presmooth")
+    parser.add_argument("--method", choices=[*METHODS, "both"], default="presmooth")
     parser.add_argument(
         "--bandwidth",
         default=None,
@@ -99,13 +99,10 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _fit_options(args: argparse.Namespace, method: str) -> dict:
+    options = {"tol": args.latency_tol, "max_iter": args.latency_max_iter}
     if method == "mle":
-        return {"tol": args.latency_tol, "max_iter": args.latency_max_iter}
-    options = {
-        "latency_tol": args.latency_tol,
-        "latency_max_iter": args.latency_max_iter,
-        "bandwidth_cap": args.bandwidth_cap,
-    }
+        return options
+    options["bandwidth_cap"] = args.bandwidth_cap
     if args.bandwidth:
         options["bandwidth"] = Bandwidth(np.array([float(v) for v in args.bandwidth.split(",")]))
     if args.bandwidth_grid:
@@ -134,8 +131,8 @@ def _fit_block(fit: CureModelFit, names: tuple[str, ...]) -> dict:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     ds = load_csv(args.input, _schema_from_args(args))
-    names = param_names(ds)
-    methods = ["presmooth", "mle"] if args.method == "both" else [args.method]
+    names = ds.param_names
+    methods = METHODS if args.method == "both" else (args.method,)
     provenance = _provenance(args)
     report = dict(provenance)
     report["estimates"] = []
@@ -174,7 +171,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         key = f"m{args.model}/s{args.scenario}/c{args.cens_level}"
     scenario = make_scenario(key, n=args.n)
-    methods = ("presmooth", "mle") if args.methods == "both" else (args.methods,)
+    methods = METHODS if args.methods == "both" else (args.methods,)
     report = run_study(scenario, args.reps, seed=args.seed, methods=methods, n_jobs=args.workers)
     rows = []
     for method, summary in report.methods.items():
@@ -287,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, default=200)
     p_sim.add_argument("--reps", type=int, default=300)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_sim.add_argument("--methods", choices=["presmooth", "mle", "both"], default="both")
+    p_sim.add_argument("--methods", choices=[*METHODS, "both"], default="both")
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=cmd_simulate)
@@ -295,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_boot = sub.add_parser("bootstrap", help="naive bootstrap standard errors and Wald tests")
     p_boot.add_argument("--input", required=True)
     _add_schema_flags(p_boot)
-    p_boot.add_argument("--method", choices=["presmooth", "mle"], default="presmooth")
+    p_boot.add_argument("--method", choices=METHODS, default="presmooth")
     p_boot.add_argument("--B", type=int, default=500)
     p_boot.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_boot.add_argument("--workers", type=int, default=1)
@@ -306,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--train", required=True)
     p_pred.add_argument("--test", required=True)
     _add_schema_flags(p_pred)
-    p_pred.add_argument("--method", choices=["presmooth", "mle"], default="presmooth")
+    p_pred.add_argument("--method", choices=METHODS, default="presmooth")
     p_pred.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_pred.add_argument(
         "--swap-pe-pairing",

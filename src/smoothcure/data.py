@@ -189,6 +189,18 @@ class SurvivalDataset:
     def __len__(self) -> int:
         return self.n
 
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        """Coefficient labels, incidence then latency: ``gamma_intercept``,
+        ``gamma_<x name>``..., ``beta_<z name>``... (``beta_<j>`` for an
+        unnamed latency column j)."""
+        z_names = self.z_names or ("",) * self.q
+        return (
+            ("gamma_intercept",)
+            + tuple(f"gamma_{c}" for c in self.meta.names)
+            + tuple(f"beta_{c or j}" for j, c in enumerate(z_names))
+        )
+
     @cached_property
     def _time_order(self) -> _TimeOrder:
         """The one sort by follow-up time, built on first use and then shared."""

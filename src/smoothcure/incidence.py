@@ -19,7 +19,6 @@ from .newton import damped_newton
 __all__ = [
     "IncidenceFit",
     "fit_incidence",
-    "logistic_phi",
     "soft_label_hessian",
     "soft_label_loglik",
     "soft_label_score",
@@ -30,16 +29,6 @@ def expit(x):
     """Logistic function 1 / (1 + exp(-x)); 0, with no warning, where exp(-x) overflows."""
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
-
-
-def logistic_phi(gamma: np.ndarray, x: np.ndarray):
-    """Susceptibility probability 1 / (1 + exp(-gamma'x)), overflow safe.
-
-    ``x`` may be a single covariate row or an (n, p) matrix.
-    """
-    eta = np.asarray(x, dtype=float) @ np.asarray(gamma, dtype=float)
-    out = expit(eta)
-    return out if np.ndim(out) else float(out)
 
 
 def _log_phi_pair(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

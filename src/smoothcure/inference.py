@@ -67,14 +67,6 @@ def resample_indices(seed: int, replicate: int, n: int) -> np.ndarray:
     return rng.integers(0, n, size=n)
 
 
-def param_names(ds: SurvivalDataset) -> tuple[str, ...]:
-    gamma = ("gamma_intercept",) + tuple(f"gamma_{c}" for c in ds.meta.names)
-    beta = tuple(f"beta_{c}" if c else f"beta_{j}" for j, c in enumerate(
-        ds.z_names if ds.z_names else ("",) * ds.q
-    ))
-    return gamma + beta
-
-
 def _bootstrap_replicate(args):
     """One resample refit: the coefficient row, or None on failure."""
     ds, method, fit_options, seed, r = args
@@ -135,7 +127,7 @@ def bootstrap_se(
         B=B,
         seed=seed,
         failures=failures,
-        param_names=param_names(ds),
+        param_names=ds.param_names,
     )
 
 

@@ -92,12 +92,14 @@ class StepFunction:
     def jumps(self) -> np.ndarray:
         return np.diff(self.values, prepend=self.initial)
 
-    def jump_at(self, t: float) -> float:
-        """Jump size at exactly t (0.0 when t is not a jump time)."""
+    def jump_at(self, t):
+        """Jump size at exactly t, 0.0 where t is not a jump time; t may be an array."""
+        t = np.asarray(t, dtype=float)
         k = np.searchsorted(self.times, t)
-        if k < self.times.size and self.times[k] == t:
-            return float(self.jumps[k])
-        return 0.0
+        # A sentinel past the last time, which no t equals, catches k == times.size.
+        on_grid = np.append(self.times, np.nan)[k] == t
+        out = np.where(on_grid, np.append(self.jumps, 0.0)[k], 0.0)
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -63,9 +63,7 @@ def observed_loglik(
     event_y = ds.y[events]
     if Lambda.times.size == 0:
         return float("-inf") if event_y.size else 0.0
-    pos = np.searchsorted(Lambda.times, event_y)
-    on_grid = (pos < Lambda.times.size) & (Lambda.times[np.minimum(pos, Lambda.times.size - 1)] == event_y)
-    jump_sizes = np.where(on_grid, Lambda.jumps[np.minimum(pos, Lambda.times.size - 1)], 0.0)
+    jump_sizes = Lambda.jump_at(event_y)
     if np.any(jump_sizes <= 0.0):
         return float("-inf")
     log_phi, log_1m = _log_phi_pair(ds.x @ np.asarray(gamma, dtype=float))

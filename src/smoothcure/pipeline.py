@@ -12,7 +12,16 @@ from .latency_cox import fit_latency
 from .mle_baseline import CureModelFit, fit_mle_em, observed_loglik
 from .presmoother import presmooth_all
 
-__all__ = ["fit_cure_model", "fit_presmoothing", "fit_mle_em"]
+__all__ = ["METHODS", "fit_cure_model", "fit_presmoothing", "fit_mle_em"]
+
+METHODS = ("presmooth", "mle")
+
+# Both methods run the same latency EM and share its stop rule; only the
+# presmoothing estimator has a bandwidth to choose.
+_OPTIONS = {
+    "presmooth": {"tol", "max_iter", "bandwidth", "grid", "bandwidth_cap"},
+    "mle": {"tol", "max_iter"},
+}
 
 
 def fit_presmoothing(
@@ -20,10 +29,8 @@ def fit_presmoothing(
     bandwidth: Bandwidth | None = None,
     grid: np.ndarray | None = None,
     bandwidth_cap: float = DEFAULT_CAP,
-    incidence_tol: float = 1e-8,
-    incidence_max_iter: int = 100,
-    latency_tol: float = 1e-7,
-    latency_max_iter: int = 500,
+    tol: float = 1e-7,
+    max_iter: int = 500,
 ) -> CureModelFit:
     """Two-step fit: presmoothed incidence first, latency second.
 
@@ -31,8 +38,9 @@ def fit_presmoothing(
     cross-validated (unless supplied), cure probabilities are presmoothed at
     every sample point and the incidence coefficients maximize the
     soft-label likelihood.  The latency is then fitted with those
-    coefficients held fixed.  Reported incidence coefficients are mapped
-    back to the original covariate scale.
+    coefficients held fixed, by the latency EM that :func:`fit_mle_em` also
+    runs, under the same stop rule ``tol``/``max_iter``.  Reported incidence
+    coefficients are mapped back to the original covariate scale.
     """
     if ds.meta.n_continuous > 0:
         ds_std, meta = standardize_continuous(ds)
@@ -43,8 +51,8 @@ def fit_presmoothing(
         if bandwidth is None:
             bandwidth = Bandwidth(np.empty(0))
     pihat = presmooth_all(ds_std, bandwidth)
-    inc = fit_incidence(pihat, ds_std.x, tol=incidence_tol, max_iter=incidence_max_iter)
-    lat = fit_latency(ds_std, inc.gamma, tol=latency_tol, max_iter=latency_max_iter)
+    inc = fit_incidence(pihat, ds_std.x)
+    lat = fit_latency(ds_std, inc.gamma, tol=tol, max_iter=max_iter)
     gamma = destandardize_gamma(inc.gamma, meta)
     return CureModelFit(
         gamma=gamma,
@@ -62,13 +70,16 @@ def fit_presmoothing(
 
 
 def fit_cure_model(ds: SurvivalDataset, method: str, **options) -> CureModelFit:
-    """Dispatch on method name: ``presmooth`` or ``mle``."""
-    if method == "presmooth":
-        return fit_presmoothing(ds, **options)
-    if method == "mle":
-        allowed = {"tol", "max_iter"}
-        bad = set(options) - allowed
-        if bad:
-            raise ConfigurationError(f"options not understood by the mle fitter: {sorted(bad)}")
-        return fit_mle_em(ds, **options)
-    raise ConfigurationError(f"unknown method {method!r}; expected 'presmooth' or 'mle'")
+    """Fit by method name, one of :data:`METHODS`.
+
+    Both methods take the EM stop rule ``tol`` and ``max_iter``;
+    ``presmooth`` also takes ``bandwidth``, ``grid`` and ``bandwidth_cap``.
+    An unknown method or option raises :class:`ConfigurationError`.
+    """
+    if method not in METHODS:
+        raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")
+    bad = set(options) - _OPTIONS[method]
+    if bad:
+        raise ConfigurationError(f"options not understood by the {method} fitter: {sorted(bad)}")
+    fitter = fit_presmoothing if method == "presmooth" else fit_mle_em
+    return fitter(ds, **options)

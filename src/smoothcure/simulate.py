@@ -26,7 +26,7 @@ from .data import CovariateMeta, SurvivalDataset
 from .errors import ConfigurationError
 from .incidence import expit
 from .mle_baseline import fit_mle_em
-from .pipeline import fit_presmoothing
+from .pipeline import METHODS, fit_presmoothing
 
 __all__ = [
     "DEFAULT_SEED",
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
+
+# Share of each tail that the study's moments drop, per coordinate.
+TRIM_FRACTION = 0.01
 
 _COVARIATES = 0
 _CURE = 1
@@ -323,21 +326,19 @@ class SimulationReport:
 
 
 def _study_replicate(args):
-    scenario, seed, r, methods, grid = args
+    scenario, seed, r, methods = args
     ds = generate(scenario, seed, r)
     out = {}
     for method in methods:
         if method == "presmooth":
-            fit = fit_presmoothing(ds, grid=grid)
+            fit = fit_presmoothing(ds)
             flags = {
                 "incidence": bool(fit.incidence.converged),
                 "latency": bool(fit.latency.converged),
             }
-        elif method == "mle":
+        else:
             fit = fit_mle_em(ds)
             flags = {"em": bool(fit.converged)}
-        else:
-            raise ConfigurationError(f"unknown method {method!r}")
         out[method] = (np.concatenate([fit.gamma, fit.beta]), flags)
     return out
 
@@ -359,10 +360,8 @@ def run_study(
     scenario: SimulationScenario,
     reps: int,
     seed: int = DEFAULT_SEED,
-    methods: tuple[str, ...] = ("presmooth", "mle"),
+    methods: tuple[str, ...] = METHODS,
     n_jobs: int = 1,
-    trim: float = 0.01,
-    grid: np.ndarray | None = None,
 ) -> SimulationReport:
     """Monte Carlo comparison of the requested estimators on one scenario.
 
@@ -370,15 +369,15 @@ def run_study(
     identical for any worker count.  Estimates from non-convergent fits are
     kept (they are real output, flagged) and the per-method failure counters
     are reported alongside; the trimmed moments drop the lowest and highest
-    ``trim`` fraction of each coordinate independently.
+    :data:`TRIM_FRACTION` of each coordinate independently.
     """
     if reps < 10:
         raise ConfigurationError(f"need at least 10 replications, got {reps}")
     for method in methods:
-        if method not in ("presmooth", "mle"):
+        if method not in METHODS:
             raise ConfigurationError(f"unknown method {method!r}")
 
-    tasks = [(scenario, seed, r, tuple(methods), grid) for r in range(reps)]
+    tasks = [(scenario, seed, r, tuple(methods)) for r in range(reps)]
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = list(pool.map(_study_replicate, tasks, chunksize=8))
@@ -386,9 +385,6 @@ def run_study(
         results = [_study_replicate(t) for t in tasks]
 
     truth = np.concatenate([np.asarray(scenario.gamma), np.asarray(scenario.beta)])
-    ds0 = generate(scenario, seed, 0)
-    names = ("gamma_intercept",) + tuple(f"gamma_{c}" for c in ds0.meta.names)
-    names = names + tuple(f"beta_{c}" for c in ds0.z_names)
 
     summaries = {}
     for method in methods:
@@ -401,7 +397,7 @@ def run_study(
                 nonconverged += 1
             for stage, ok in flags.items():
                 stage_failures[stage] = stage_failures.get(stage, 0) + (0 if ok else 1)
-        bias, variance, mse = _trimmed_moments(estimates, truth, trim)
+        bias, variance, mse = _trimmed_moments(estimates, truth, TRIM_FRACTION)
         summaries[method] = MethodSummary(
             estimates=estimates,
             bias=bias,
@@ -413,9 +409,9 @@ def run_study(
     return SimulationReport(
         scenario=scenario,
         replications=reps,
-        trim_fraction=trim,
+        trim_fraction=TRIM_FRACTION,
         seed=seed,
-        param_names=names,
+        param_names=generate(scenario, seed, 0).param_names,
         truth=truth,
         methods=summaries,
     )

@@ -10,11 +10,11 @@ from smoothcure import (
     SchemaError,
     destandardize_gamma,
     load_csv,
-    logistic_phi,
     standardize_continuous,
     write_csv,
 )
 from smoothcure.data import CovariateMeta, SurvivalDataset
+from smoothcure.incidence import expit
 
 from conftest import build_dataset
 
@@ -124,7 +124,7 @@ class TestStandardize:
         out, meta = standardize_continuous(ds)
         gamma_std = np.array([0.4, -1.3])
         gamma = destandardize_gamma(gamma_std, meta)
-        assert np.allclose(logistic_phi(gamma, ds.x), logistic_phi(gamma_std, out.x), atol=1e-12)
+        assert np.allclose(expit(ds.x @ gamma), expit(out.x @ gamma_std), atol=1e-12)
 
 
 class TestDatasetInvariants:
@@ -158,6 +158,13 @@ class TestDatasetInvariants:
         assert sub.n == 3
         assert sub.y[0] == sub.y[1] == ds.y[3]
         assert not sub.meta.standardized
+
+    def test_param_names(self):
+        ds = build_dataset([1, 2, 3], [1, 1, 0], x_cols=[[0.0, 1.0, 2.0]], z_cols=[[0.5, 0.1, 0.2]])
+        assert ds.param_names == ("gamma_intercept", "gamma_x1", "beta_z1")
+        unnamed = SurvivalDataset(ds.y, ds.delta, ds.x, np.column_stack([ds.z, ds.z**2]), ds.meta)
+        assert unnamed.param_names == ("gamma_intercept", "gamma_x1", "beta_0", "beta_1")
+        assert ds.take([2, 0]).param_names == ds.param_names
 
     def test_meta_requires_positive_sd(self):
         with pytest.raises(DegenerateCovariateError):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import smoothcure
-from smoothcure import SingularHessianError, fit_incidence, logistic_phi, soft_label_loglik
+from smoothcure import SingularHessianError, fit_incidence, soft_label_loglik
 from smoothcure.incidence import expit, soft_label_hessian, soft_label_score
 
 
@@ -20,16 +20,16 @@ def random_design(rng, n=40, p=2):
 class TestLogisticPhi:
     def test_zero_gamma_is_half(self, rng):
         x = random_design(rng, n=6, p=3)
-        assert np.allclose(logistic_phi(np.zeros(3), x), 0.5)
+        assert np.allclose(expit(x @ np.zeros(3)), 0.5)
 
     def test_log_three(self):
-        assert logistic_phi(np.array([math.log(3.0)]), np.array([1.0])) == pytest.approx(0.75)
+        assert expit(math.log(3.0)) == pytest.approx(0.75)
 
     def test_extreme_linear_predictor_stable(self):
         x = np.array([[1.0]])
         ll = soft_label_loglik(np.array([-1000.0]), np.array([0.0]), x)
         assert ll == pytest.approx(-1000.0)
-        assert 0.0 < logistic_phi(np.array([-50.0]), np.array([1.0])) < 1e-20
+        assert 0.0 < expit(-50.0) < 1e-20
 
 
     def test_expit_saturates_without_warning(self):
@@ -62,7 +62,7 @@ class TestSoftLabelLoglik:
     def test_score_vanishes_at_matching_labels(self, rng):
         x = random_design(rng, n=12)
         gamma = np.array([0.3, -0.8])
-        pihat = 1.0 - logistic_phi(gamma, x)
+        pihat = 1.0 - expit(x @ gamma)
         assert np.max(np.abs(soft_label_score(gamma, pihat, x))) < 1e-12
 
     def test_three_point_against_fsum_oracle(self):
@@ -105,7 +105,7 @@ class TestFitIncidence:
     def test_recovers_forced_maximizer(self, rng):
         x = random_design(rng, n=30)
         gamma_star = np.array([0.7, -1.1])
-        pihat = 1.0 - logistic_phi(gamma_star, x)
+        pihat = 1.0 - expit(x @ gamma_star)
         fit = fit_incidence(pihat, x)
         assert fit.converged
         assert np.allclose(fit.gamma, gamma_star, atol=1e-8)

@@ -8,6 +8,7 @@ from scipy.special import expit
 
 import smoothcure.inference as inference
 from smoothcure import (
+    ConfigurationError,
     CureModelFit,
     InferenceError,
     StepFunction,
@@ -19,6 +20,7 @@ from smoothcure import (
     resample_indices,
     wald_test,
 )
+from smoothcure.pipeline import METHODS, fit_cure_model
 from smoothcure.simulate import generate
 
 from conftest import build_dataset
@@ -231,8 +233,6 @@ class TestBootstrap:
         assert np.array_equal(serial.estimates, parallel.estimates)
 
     def test_replayable_rows(self):
-        from smoothcure.pipeline import fit_cure_model
-
         ds = generate(make_scenario("m1/s1/c1", n=60), seed=8)
         res = bootstrap_se(ds, method="mle", B=6, seed=21)
         replayed = []
@@ -275,6 +275,30 @@ class TestBootstrap:
         ds = build_dataset([1, 2, 3], [1, 0, 1], z_cols=[[0.0, 0.1, 0.2]])
         with pytest.raises(InferenceError):
             bootstrap_se(ds, B=1, seed=1)
+
+
+class TestFitOptions:
+    # Both methods share one option set; anything else is a typed error,
+    # raised before any fitting, whichever entry point passes it on.
+    @pytest.fixture(scope="class")
+    def ds(self):
+        return generate(make_scenario("m1/s1/c1", n=60), seed=5)
+
+    @pytest.mark.parametrize(
+        "method, options",
+        [*((m, {"bogus": 1}) for m in METHODS), ("mle", {"grid": None}), ("wat", {})],
+    )
+    def test_fit_cure_model_rejects(self, ds, method, options):
+        with pytest.raises(ConfigurationError):
+            fit_cure_model(ds, method, **options)
+
+    def test_bootstrap_rejects_unknown_option(self, ds):
+        with pytest.raises(ConfigurationError):
+            bootstrap_se(ds, B=2, bogus=1)
+
+    def test_stop_rule_reaches_the_latency_em(self, ds):
+        assert fit_presmoothing(ds, max_iter=1).latency.iterations == 1
+        assert fit_cure_model(ds, "presmooth", max_iter=1).latency.iterations == 1
 
 
 @pytest.mark.slow

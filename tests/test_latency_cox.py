@@ -34,6 +34,10 @@ class TestStepFunction:
         assert np.allclose(f.jumps, [0.5, 0.75])
         assert f.jump_at(2.0) == pytest.approx(0.75)
         assert f.jump_at(1.7) == 0.0
+        assert np.array_equal(f.jump_at(np.array([0.5, 1.0, 1.7, 2.0, 3.0])), [0.0, 0.5, 0.0, 0.75, 0.0])
+        empty = StepFunction(np.empty(0), np.empty(0))
+        assert empty.jump_at(1.0) == 0.0
+        assert np.array_equal(empty.jump_at(np.array([0.0, 1.0])), [0.0, 0.0])
 
     def test_survival_variant(self):
         s = StepFunction(np.array([1.0, 3.0]), np.array([0.75, 0.375]), initial=1.0)

@@ -129,7 +129,7 @@ class TestWeibullSampler:
 
 
 def constant_stub(args):
-    scenario, seed, r, methods, grid = args
+    scenario, seed, r, methods = args
     truth = np.concatenate([scenario.gamma, scenario.beta])
     out = {}
     rng = np.random.default_rng(r)
