@@ -18,7 +18,7 @@ from smoothcure.kernels import cv_criterion
 from smoothcure.simulate import generate
 
 # --- informative covariate -------------------------------------------------
-ds, _ = standardize_continuous(generate(make_scenario("m1/s1/c1", n=200), seed=3))
+ds = standardize_continuous(generate(make_scenario("m1/s1/c1", n=200), seed=3))
 grid = default_grid()
 scores = [cv_criterion(ds, Bandwidth(np.array([h]))) for h in grid]
 chosen = cv_bandwidth(ds)
@@ -38,7 +38,7 @@ delta = (rng.random(n) < 0.7).astype(int)
 x = np.column_stack([np.ones(n), rng.normal(size=n)])  # independent of (y, delta)
 meta = CovariateMeta(names=("noise",), discrete=(False,))
 ds_noise = SurvivalDataset(y, delta, x, np.empty((n, 0)), meta)
-ds_noise, _ = standardize_continuous(ds_noise)
+ds_noise = standardize_continuous(ds_noise)
 chosen_noise = cv_bandwidth(ds_noise)
 print("uninformative covariate (independent of the follow-up):")
 print(f"selected bandwidth: {chosen_noise.h[0]:.3f}  (the cap at 2 binds)")

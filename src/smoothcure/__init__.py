@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
     SingularHessianError,
 )
-from .incidence import IncidenceFit, fit_incidence, soft_label_loglik
+from .incidence import fit_incidence
 from .inference import (
     BootstrapResult,
     bootstrap_se,
@@ -80,7 +80,6 @@ __all__ = [
     "DEFAULT_SEED",
     "DegenerateCovariateError",
     "EmptyNeighborhoodError",
-    "IncidenceFit",
     "InferenceError",
     "LatencyFit",
     "NumericalError",
@@ -116,7 +115,6 @@ __all__ = [
     "profile_residual",
     "resample_indices",
     "run_study",
-    "soft_label_loglik",
     "standardize_continuous",
     "truncated_weibull_ph_sample",
     "wald_test",

@@ -352,14 +352,14 @@ def write_csv(ds: SurvivalDataset, path, time: str = "time", status: str = "stat
             writer.writerow([format(col[i], ".17g") for _, col in columns])
 
 
-def standardize_continuous(ds: SurvivalDataset) -> tuple[SurvivalDataset, CovariateMeta]:
+def standardize_continuous(ds: SurvivalDataset) -> SurvivalDataset:
     """Center and scale the continuous incidence covariates.
 
     Uses the sample standard deviation (denominator n - 1); any fixed
     convention works because bandwidths are selected after standardization.
     Discrete columns and the intercept pass through untouched; the returned
-    metadata records (mean, sd) per column so estimates can be mapped back
-    to the original scale with :func:`destandardize_gamma`.
+    dataset's ``meta`` records (mean, sd) per column so estimates can be
+    mapped back to the original scale with :func:`destandardize_gamma`.
     """
     x = np.array(ds.x)
     means = []
@@ -380,8 +380,7 @@ def standardize_continuous(ds: SurvivalDataset) -> tuple[SurvivalDataset, Covari
         means.append(m)
         sds.append(s)
     meta = replace(ds.meta, means=tuple(means), sds=tuple(sds))
-    out = SurvivalDataset(ds.y, ds.delta, x, ds.z, meta, ds.z_names)
-    return out, meta
+    return SurvivalDataset(ds.y, ds.delta, x, ds.z, meta, ds.z_names)
 
 
 def destandardize_gamma(gamma: np.ndarray, meta: CovariateMeta) -> np.ndarray:

@@ -9,20 +9,14 @@ minus the presmoothed cure probability), by the damped Newton-Raphson of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import SingularHessianError
-from .newton import damped_newton
+from .newton import NewtonResult, damped_newton
 
-__all__ = [
-    "IncidenceFit",
-    "fit_incidence",
-    "soft_label_hessian",
-    "soft_label_loglik",
-    "soft_label_score",
-]
+__all__ = ["fit_incidence"]
 
 
 def expit(x):
@@ -36,31 +30,28 @@ def _log_phi_pair(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -np.logaddexp(0.0, -eta), -np.logaddexp(0.0, eta)
 
 
-def soft_label_loglik(gamma: np.ndarray, pihat: np.ndarray, x: np.ndarray) -> float:
-    """Sum over subjects of (1-pihat) log(phi) + pihat log(1-phi).
+def _soft_label(pihat: np.ndarray, x: np.ndarray):
+    """Objective and derivatives of the soft-label log-likelihood, in the
+    form :func:`smoothcure.newton.damped_newton` takes them.
 
-    Terms with a zero coefficient contribute zero even when the paired log
-    is -inf in the limit; both logs stay finite for finite linear predictors,
-    so no masking is needed.
+    The objective is the sum over subjects of (1-pihat) log(phi) +
+    pihat log(1-phi) with phi = expit(x'gamma); the score is the sum of
+    (label - phi) times the covariate row and the information the
+    phi(1-phi)-weighted Gram matrix of x.  Terms with a zero coefficient
+    contribute zero even when the paired log is -inf in the limit; both
+    logs stay finite for finite linear predictors, so no masking is needed.
     """
-    eta = np.asarray(x, dtype=float) @ np.asarray(gamma, dtype=float)
-    log_phi, log_1m = _log_phi_pair(eta)
-    pihat = np.asarray(pihat, dtype=float)
-    return float(np.sum((1.0 - pihat) * log_phi + pihat * log_1m))
+    label = 1.0 - pihat
 
+    def objective(gamma):
+        log_phi, log_1m = _log_phi_pair(x @ gamma)
+        return float(np.sum(label * log_phi + pihat * log_1m))
 
-def soft_label_score(gamma: np.ndarray, pihat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Gradient in gamma: sum of (label - phi) times the covariate row."""
-    x = np.asarray(x, dtype=float)
-    resid = (1.0 - np.asarray(pihat, dtype=float)) - expit(x @ np.asarray(gamma, dtype=float))
-    return x.T @ resid
+    def derivatives(gamma):
+        phi = expit(x @ gamma)
+        return x.T @ (label - phi), lambda: (x * (phi * (1.0 - phi))[:, None]).T @ x
 
-
-def soft_label_hessian(gamma: np.ndarray, pihat: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Hessian in gamma: minus the phi(1-phi)-weighted Gram matrix of x."""
-    x = np.asarray(x, dtype=float)
-    phi = expit(x @ np.asarray(gamma, dtype=float))
-    return -(x * (phi * (1.0 - phi))[:, None]).T @ x
+    return objective, derivatives
 
 
 # A fit is reported as not converged when the likelihood maximum sits at
@@ -72,34 +63,23 @@ def soft_label_hessian(gamma: np.ndarray, pihat: np.ndarray, x: np.ndarray) -> n
 LINPRED_SATURATION = 30.0
 INFORMATION_FLOOR = 1e-8
 
-
-@dataclass(frozen=True)
-class IncidenceFit:
-    gamma: np.ndarray
-    loglik: float
-    gradient_norm: float
-    iterations: int
-    converged: bool
+# The Newton stop rule: the max-norm of the score, and a cap on iterations.
+TOL = 1e-8
+MAX_ITER = 100
 
 
-def fit_incidence(
-    pihat: np.ndarray,
-    x: np.ndarray,
-    init: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-) -> IncidenceFit:
+def fit_incidence(pihat: np.ndarray, x: np.ndarray, init: np.ndarray | None = None) -> NewtonResult:
     """Maximize the soft-label log-likelihood by damped Newton-Raphson.
 
-    Convergence means the max-norm of the score dropped below ``tol`` at a
-    genuine interior maximum: fits whose linear predictor saturated at
+    Convergence means the max-norm of the score dropped below :data:`TOL` at
+    a genuine interior maximum: fits whose linear predictor saturated at
     double precision, or whose observed information collapsed to numerical
     zero along some direction, carry a maximum at infinity and report
-    ``converged=False`` even with a vanished score.  Hitting ``max_iter``,
-    a singular Newton system, or a step that cannot be made ascending all
-    return ``converged=False`` with the current state attached; nothing is
-    raised for those, so callers such as the EM baseline can keep going
-    with the partial update.
+    ``converged=False`` even with a vanished score.  Hitting
+    :data:`MAX_ITER`, a singular Newton system, or a step that cannot be
+    made ascending all return ``converged=False`` with the current state
+    attached; nothing is raised for those, so callers such as the EM
+    baseline can keep going with the partial update.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     pihat = np.asarray(pihat, dtype=float)
@@ -112,35 +92,19 @@ def fit_incidence(
         raise SingularHessianError(f"need more subjects than parameters (n={n}, p={p})")
     if np.linalg.matrix_rank(x) < p:
         raise SingularHessianError("incidence design matrix is rank deficient")
-    return _newton_incidence(pihat, x, init, tol, max_iter)
+    return _newton_incidence(pihat, x, init)
 
 
-def _newton_incidence(
-    pihat: np.ndarray,
-    x: np.ndarray,
-    init: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-) -> IncidenceFit:
+def _newton_incidence(pihat: np.ndarray, x: np.ndarray, init: np.ndarray | None = None) -> NewtonResult:
     """:func:`fit_incidence` without its input checks, for a caller that
     refits on the same float design matrix ``x`` it has already checked."""
     n, p = x.shape
-
-    def derivatives(gamma):
-        return soft_label_score(gamma, pihat, x), lambda: -soft_label_hessian(gamma, pihat, x)
-
-    res = damped_newton(
-        lambda gamma: soft_label_loglik(gamma, pihat, x),
-        derivatives,
-        np.zeros(p) if init is None else init,
-        tol,
-        max_iter,
-    )
+    objective, derivatives = _soft_label(pihat, x)
+    res = damped_newton(objective, derivatives, np.zeros(p) if init is None else init, TOL, MAX_ITER)
     # Only a vanished score is checked for a maximum at infinity.
-    converged = (
-        res.converged
-        and float(np.max(np.abs(x @ res.x))) <= LINPRED_SATURATION
-        and float(np.min(np.linalg.eigvalsh(-soft_label_hessian(res.x, pihat, x))))
-        >= INFORMATION_FLOOR * n
-    )
-    return IncidenceFit(res.x, res.value, res.score_norm, res.iterations, converged)
+    if res.converged and not (
+        float(np.max(np.abs(x @ res.x))) <= LINPRED_SATURATION
+        and float(np.min(np.linalg.eigvalsh(derivatives(res.x)[1]()))) >= INFORMATION_FLOOR * n
+    ):
+        return replace(res, converged=False)
+    return res

@@ -35,11 +35,10 @@ import numpy as np
 from .data import SurvivalDataset, _TimeOrder
 from .errors import NumericalError, SingularHessianError
 from .incidence import expit
-from .newton import damped_newton
+from .newton import NewtonResult, damped_newton
 
 __all__ = [
     "LatencyFit",
-    "PartialLikelihoodFit",
     "StepFunction",
     "breslow_update",
     "compute_weights",
@@ -103,21 +102,12 @@ class StepFunction:
 
 
 @dataclass(frozen=True)
-class PartialLikelihoodFit:
-    beta: np.ndarray
-    converged: bool
-    iterations: int
-    score_norm: float
-
-
-@dataclass(frozen=True)
 class LatencyFit:
     beta: np.ndarray
     Lambda: StepFunction
     weights: np.ndarray
     iterations: int
     converged: bool
-    last_event_time: float
 
 
 def _log_susceptible_survival(
@@ -207,25 +197,29 @@ def _partial_likelihood(ds: SurvivalDataset, weights: np.ndarray):
     return objective, derivatives
 
 
+# The Newton stop rule of the weighted partial likelihood: the max-norm of
+# the score, and a cap on iterations.
+NEWTON_TOL = 1e-9
+NEWTON_MAX_ITER = 60
+
+
 def weighted_partial_fit(
-    ds: SurvivalDataset,
-    weights: np.ndarray,
-    init: np.ndarray | None = None,
-    tol: float = 1e-9,
-    max_iter: int = 60,
-) -> PartialLikelihoodFit:
+    ds: SurvivalDataset, weights: np.ndarray, init: np.ndarray | None = None
+) -> NewtonResult:
     """Newton maximization of the weight-adjusted log partial likelihood.
 
     Each event contributes beta'Z_i minus the log of the weighted risk-set
     sum at its own time (Breslow ties).  The sums are formed in the
     dataset's time order at the distinct event times, in the
-    counting-process form of :func:`_partial_likelihood`.
+    counting-process form of :func:`_partial_likelihood`.  The estimate is
+    the result's ``x``; the Newton stops on a score max-norm below
+    :data:`NEWTON_TOL` or after :data:`NEWTON_MAX_ITER` steps.
     """
     if not ds._z_full_rank:
         raise SingularHessianError("latency covariates have singular variance")
     objective, derivatives = _partial_likelihood(ds, weights)
-    res = damped_newton(objective, derivatives, np.zeros(ds.q) if init is None else init, tol, max_iter)
-    return PartialLikelihoodFit(res.x, res.converged, res.iterations, res.score_norm)
+    x0 = np.zeros(ds.q) if init is None else init
+    return damped_newton(objective, derivatives, x0, NEWTON_TOL, NEWTON_MAX_ITER)
 
 
 def breslow_update(ds: SurvivalDataset, weights: np.ndarray, beta: np.ndarray) -> StepFunction:
@@ -263,22 +257,21 @@ def em_iterates(
     themselves succeeded: a failed M-step that cannot move is no fixed point.
     """
     ones = np.ones(ds.n)
-    beta = weighted_partial_fit(ds, ones).beta
+    beta = weighted_partial_fit(ds, ones).x
     Lambda = breslow_update(ds, ones, beta)
-    last_event = float(Lambda.times[-1])
     iterations, settled, converged = 0, False, False
     while True:
         w = compute_weights(ds, gamma, beta, Lambda)
-        yield gamma, LatencyFit(beta, Lambda, w, iterations, converged, last_event)
+        yield gamma, LatencyFit(beta, Lambda, w, iterations, converged)
         if settled or iterations >= max_iter:
             return
         iterations += 1
         new_gamma, incidence_converged = incidence_step(w, gamma)
         pf = weighted_partial_fit(ds, w, init=beta)
-        new_Lambda = breslow_update(ds, w, pf.beta)
-        steps = [new_gamma - gamma, pf.beta - beta, new_Lambda.values - Lambda.values]
+        new_Lambda = breslow_update(ds, w, pf.x)
+        steps = [new_gamma - gamma, pf.x - beta, new_Lambda.values - Lambda.values]
         change = np.max(np.abs(np.concatenate(steps)))
-        gamma, beta, Lambda = new_gamma, pf.beta, new_Lambda
+        gamma, beta, Lambda = new_gamma, pf.x, new_Lambda
         settled = bool(change < tol)
         converged = settled and incidence_converged and pf.converged
 

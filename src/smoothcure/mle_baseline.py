@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SurvivalDataset
-from .incidence import IncidenceFit, _log_phi_pair, _newton_incidence, fit_incidence
+from .incidence import _log_phi_pair, _newton_incidence, fit_incidence
 from .latency_cox import LatencyFit, StepFunction, _log_susceptible_survival, em_iterates
+from .newton import NewtonResult
 
 __all__ = ["CureModelFit", "fit_mle_em", "observed_loglik"]
 
@@ -39,7 +40,7 @@ class CureModelFit:
     converged: bool
     method: str
     loglik_path: np.ndarray | None = None
-    incidence: IncidenceFit | None = None
+    incidence: NewtonResult | None = None
     latency: LatencyFit | None = None
     bandwidth: np.ndarray | None = None
     pihat: np.ndarray | None = None
@@ -89,12 +90,12 @@ def fit_mle_em(ds: SurvivalDataset, tol: float = 1e-7, max_iter: int = 500) -> C
     """
     plateau = (ds.delta == 0) & (ds.y > ds._time_order.event_times[-1])
     labels = np.where(plateau, 0.0, 1.0)
-    gamma = fit_incidence(1.0 - labels, ds.x).gamma
+    gamma = fit_incidence(1.0 - labels, ds.x).x
 
     def refit_incidence(weights, gamma):
         # The start fit above checked ds.x; the refits skip its rank check.
         inc = _newton_incidence(1.0 - weights, ds.x, init=gamma)
-        return inc.gamma, inc.converged
+        return inc.x, inc.converged
 
     path = []
     for gamma, latency in em_iterates(ds, gamma, refit_incidence, tol, max_iter):

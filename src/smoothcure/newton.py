@@ -46,14 +46,15 @@ def damped_newton(
     does not.  A non-finite direction or objective value is a failed step,
     never an ascent.  A singular or non-finite Newton system, a step that
     cannot be made ascending, or an exhausted ``max_iter`` ends the search
-    with ``converged=False`` at the last accepted, finite state.
+    with ``converged=False`` at the last accepted, finite state.  An empty
+    ``x0`` is already at its optimum: its score max-norm is 0.
     """
     x = np.array(x0, dtype=float)
     value = objective(x)
     iterations = 0
     for iterations in range(1, max_iter + 1):
         score, information = derivatives(x)
-        score_norm = float(np.max(np.abs(score)))
+        score_norm = float(np.max(np.abs(score), initial=0.0))
         if score_norm < tol:
             return NewtonResult(x, value, score_norm, iterations - 1, True)
         try:
@@ -83,5 +84,5 @@ def damped_newton(
                     return NewtonResult(x, value, score_norm, iterations, False)
         x = x + step
         value = trial
-    score_norm = float(np.max(np.abs(derivatives(x)[0])))
+    score_norm = float(np.max(np.abs(derivatives(x)[0]), initial=0.0))
     return NewtonResult(x, value, score_norm, iterations, score_norm < tol)

@@ -43,17 +43,17 @@ def fit_presmoothing(
     coefficients are mapped back to the original covariate scale.
     """
     if ds.meta.n_continuous > 0:
-        ds_std, meta = standardize_continuous(ds)
+        ds_std = standardize_continuous(ds)
         if bandwidth is None:
             bandwidth = cv_bandwidth(ds_std, grid=grid, cap=bandwidth_cap)
     else:
-        ds_std, meta = ds, ds.meta
+        ds_std = ds
         if bandwidth is None:
             bandwidth = Bandwidth(np.empty(0))
     pihat = presmooth_all(ds_std, bandwidth)
     inc = fit_incidence(pihat, ds_std.x)
-    lat = fit_latency(ds_std, inc.gamma, tol=tol, max_iter=max_iter)
-    gamma = destandardize_gamma(inc.gamma, meta)
+    lat = fit_latency(ds_std, inc.x, tol=tol, max_iter=max_iter)
+    gamma = destandardize_gamma(inc.x, ds_std.meta)
     return CureModelFit(
         gamma=gamma,
         beta=lat.beta,

@@ -61,6 +61,14 @@ class TestFit:
         assert set(blocks[0]["gamma"]) == set(blocks[1]["gamma"])
         assert set(blocks[0]) - set(blocks[1]) <= {"bandwidth", "lambda_csv", "pihat_csv"}
 
+    def test_fit_without_latency_covariates(self, data_csv, tmp_path):
+        out = tmp_path / "noz.json"
+        schema = ["--time", "time", "--status", "status", "--x", "x1"]
+        code = main(["fit", "--input", data_csv, *schema, "--method", "both", "--out", str(out)])
+        assert code == 0
+        for block in read_report(out)["estimates"]:
+            assert block["beta"] == {}
+
     def test_bandwidth_override_recorded(self, data_csv, tmp_path):
         out = tmp_path / "bw.json"
         code = main(["fit", "--input", data_csv, *SCHEMA, "--bandwidth", "0.5", "--out", str(out)])

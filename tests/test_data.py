@@ -95,16 +95,16 @@ class TestLoadCsv:
 class TestStandardize:
     def test_known_column(self):
         ds = build_dataset([1, 2, 3], [1, 1, 0], x_cols=[[0.0, 2.0, 4.0]])
-        out, meta = standardize_continuous(ds)
+        out = standardize_continuous(ds)
         assert np.allclose(out.x[:, 1], [-1.0, 0.0, 1.0])
-        assert meta.means == (2.0,)
-        assert meta.sds == (2.0,)
+        assert out.meta.means == (2.0,)
+        assert out.meta.sds == (2.0,)
 
     def test_discrete_column_untouched(self):
         ds = build_dataset([1, 2, 3], [1, 1, 0], x_cols=[[0.0, 1.0, 1.0]], discrete=[True])
-        out, meta = standardize_continuous(ds)
+        out = standardize_continuous(ds)
         assert np.array_equal(out.x[:, 1], [0.0, 1.0, 1.0])
-        assert meta.sds == (1.0,)
+        assert out.meta.sds == (1.0,)
 
     def test_constant_column_rejected(self):
         ds = build_dataset([1, 2, 3], [1, 1, 0], x_cols=[[5.0, 5.0, 5.0]])
@@ -114,16 +114,16 @@ class TestStandardize:
     def test_destandardization_recovers_values(self, rng):
         col = rng.normal(3.0, 4.0, 25)
         ds = build_dataset(rng.exponential(1, 25), np.ones(25, int), x_cols=[col])
-        out, meta = standardize_continuous(ds)
-        back = out.x[:, 1] * meta.sds[0] + meta.means[0]
+        out = standardize_continuous(ds)
+        back = out.x[:, 1] * out.meta.sds[0] + out.meta.means[0]
         assert np.allclose(back, col, rtol=0, atol=1e-12)
 
     def test_destandardize_gamma_preserves_linear_predictor(self, rng):
         col = rng.normal(10.0, 2.5, 30)
         ds = build_dataset(rng.exponential(1, 30), np.ones(30, int), x_cols=[col])
-        out, meta = standardize_continuous(ds)
+        out = standardize_continuous(ds)
         gamma_std = np.array([0.4, -1.3])
-        gamma = destandardize_gamma(gamma_std, meta)
+        gamma = destandardize_gamma(gamma_std, out.meta)
         assert np.allclose(expit(ds.x @ gamma), expit(out.x @ gamma_std), atol=1e-12)
 
 
@@ -180,6 +180,6 @@ class TestDatasetInvariants:
 def test_standardize_round_trip_property(values):
     n = len(values)
     ds = build_dataset(np.arange(1, n + 1), np.ones(n, int), x_cols=[np.asarray(values)])
-    out, meta = standardize_continuous(ds)
-    back = out.x[:, 1] * meta.sds[0] + meta.means[0]
+    out = standardize_continuous(ds)
+    back = out.x[:, 1] * out.meta.sds[0] + out.meta.means[0]
     assert np.allclose(back, values, rtol=0, atol=1e-9 * max(1.0, np.max(np.abs(values))))

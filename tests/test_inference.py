@@ -12,6 +12,7 @@ from smoothcure import (
     CureModelFit,
     InferenceError,
     StepFunction,
+    SurvivalDataset,
     bootstrap_se,
     compute_weights,
     fit_presmoothing,
@@ -299,6 +300,17 @@ class TestFitOptions:
     def test_stop_rule_reaches_the_latency_em(self, ds):
         assert fit_presmoothing(ds, max_iter=1).latency.iterations == 1
         assert fit_cure_model(ds, "presmooth", max_iter=1).latency.iterations == 1
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fit_without_latency_covariates(method):
+    # q = 0: the latency is the baseline hazard alone, with nothing to fit by Newton.
+    ds = generate(make_scenario("m1/s1/c1", n=200), seed=1729)
+    ds0 = SurvivalDataset(ds.y, ds.delta, ds.x, np.empty((ds.n, 0)), ds.meta)
+    fit = fit_cure_model(ds0, method)
+    assert fit.converged and fit.beta.shape == (0,)
+    assert np.all(np.isfinite(fit.gamma)) and np.isfinite(fit.loglik)
+    assert np.all(np.isfinite(fit.Lambda.values))
 
 
 @pytest.mark.slow

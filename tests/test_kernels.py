@@ -295,7 +295,7 @@ class TestBatchedScores:
     @pytest.mark.parametrize("case", range(8))
     def test_cv_bandwidth_takes_first_minimizer(self, rng, monkeypatch, case):
         name, ds, values = batched_cases(rng)[case]
-        ds, _ = standardize_continuous(ds)
+        ds = standardize_continuous(ds)
         grid = np.asarray(values)
         monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * ds.n * grid.size)
         n_cont = ds.meta.n_continuous
@@ -304,7 +304,7 @@ class TestBatchedScores:
         assert tuple(cv_bandwidth(ds, grid=grid).h) == tuple(np.minimum(best, 2.0)), name
 
     def test_selection_skips_nan_and_keeps_first_tie(self, rng, monkeypatch):
-        ds, _ = standardize_continuous(random_dataset(rng, n=12))
+        ds = standardize_continuous(random_dataset(rng, n=12))
         monkeypatch.setattr(
             kernels, "_cv_scores", lambda table, grids: np.array([np.nan, 3.0, 1.0, 1.0, np.inf])
         )
@@ -332,7 +332,7 @@ def test_cv_underflow_raises_no_warning(rng):
         x_cols=[rng.standard_cauchy(n) * 100.0, rng.lognormal(0.0, 3.0, n), rng.integers(0, 3, n)],
         discrete=[False, False, True],
     )
-    ds, _ = standardize_continuous(ds)
+    ds = standardize_continuous(ds)
     grid = np.geomspace(0.01, 2.0, 12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -347,7 +347,7 @@ def test_cv_underflow_raises_no_warning(rng):
 
 class TestCvBandwidth:
     def test_matches_exhaustive_scan(self, rng):
-        ds, _ = standardize_continuous(random_dataset(rng, n=20))
+        ds = standardize_continuous(random_dataset(rng, n=20))
         grid = np.geomspace(0.1, 2.0, 15)
         selected = cv_bandwidth(ds, grid=grid)
         scores = brute_force_cv(ds, grid)
@@ -357,7 +357,7 @@ class TestCvBandwidth:
 
     def test_output_always_capped(self, rng):
         for seed in range(5):
-            ds, _ = standardize_continuous(random_dataset(np.random.default_rng(seed), n=25))
+            ds = standardize_continuous(random_dataset(np.random.default_rng(seed), n=25))
             b = cv_bandwidth(ds, grid=np.geomspace(0.2, 5.0, 8))
             assert 0.0 < b.h[0] <= 2.0
 
@@ -373,26 +373,26 @@ class TestCvBandwidth:
                 delta[0] = 1
             x = rng.normal(0.0, 1.0, n)  # independent of (y, delta)
             ds = build_dataset(y, delta, x_cols=[x])
-            ds, _ = standardize_continuous(ds)
+            ds = standardize_continuous(ds)
             b = cv_bandwidth(ds)
             hits += b.h[0] == 2.0
         assert hits > reps / 2
 
     def test_deterministic(self, rng):
-        ds, _ = standardize_continuous(random_dataset(rng, n=30))
+        ds = standardize_continuous(random_dataset(rng, n=30))
         a = cv_bandwidth(ds)
         b = cv_bandwidth(ds)
         assert np.array_equal(a.h, b.h)
 
     def test_requires_events(self):
         ds = build_dataset([1.0, 2.0, 3.0], [1, 0, 0], x_cols=[[0.0, 1.0, 2.0]])
-        ds, _ = standardize_continuous(ds)
+        ds = standardize_continuous(ds)
         object.__setattr__(ds, "delta", np.zeros(3, dtype=int))  # bypass for the error path
         with pytest.raises(ConfigurationError):
             cv_bandwidth(ds)
 
     def test_empty_grid_rejected(self, rng):
-        ds, _ = standardize_continuous(random_dataset(rng, n=10))
+        ds = standardize_continuous(random_dataset(rng, n=10))
         with pytest.raises(ConfigurationError):
             cv_bandwidth(ds, grid=np.array([]))
 
@@ -407,7 +407,7 @@ class TestCvBandwidth:
             (rng.random(n) < 0.8).astype(int),
             x_cols=[rng.normal(size=n), rng.normal(size=n)],
         )
-        ds, _ = standardize_continuous(ds)
+        ds = standardize_continuous(ds)
         grid = np.array([0.3, 0.8, 1.5])
         selected = cv_bandwidth(ds, grid=grid)
         combos = list(itertools.product(grid, repeat=2))
@@ -445,7 +445,7 @@ def test_registry_bandwidth_is_pinned(key):
     The 30-point default grid, or 12 x 12 with two continuous covariates;
     a faster criterion must not move the selection.
     """
-    ds, _ = standardize_continuous(generate(make_scenario(key), DEFAULT_SEED, 0))
+    ds = standardize_continuous(generate(make_scenario(key), DEFAULT_SEED, 0))
     grid = default_grid(num=30 if ds.meta.n_continuous == 1 else 12)
     expected = np.minimum(grid[PINNED[key]], DEFAULT_CAP)
     assert tuple(cv_bandwidth(ds, grid=grid).h) == tuple(expected)

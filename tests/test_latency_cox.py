@@ -130,16 +130,16 @@ class TestWeightedPartialFit:
         coarse = grid[int(np.argmax(vals))]
         fine = np.linspace(coarse - 0.01, coarse + 0.01, 2001)
         vals = [partial_loglik_oracle(ds, w, np.array([b])) for b in fine]
-        assert fit.beta[0] == pytest.approx(fine[int(np.argmax(vals))], abs=1e-5)
+        assert fit.x[0] == pytest.approx(fine[int(np.argmax(vals))], abs=1e-5)
         assert fit.converged
 
     def test_weighted_matches_oracle(self, rng):
         ds = random_dataset(rng, n=12)
         w = np.where(ds.delta == 1, 1.0, rng.uniform(0.2, 1.0, 12))
         fit = weighted_partial_fit(ds, w)
-        grid = np.linspace(fit.beta[0] - 0.02, fit.beta[0] + 0.02, 4001)
+        grid = np.linspace(fit.x[0] - 0.02, fit.x[0] + 0.02, 4001)
         vals = [partial_loglik_oracle(ds, w, np.array([b])) for b in grid]
-        assert abs(grid[int(np.argmax(vals))] - fit.beta[0]) < 2e-5
+        assert abs(grid[int(np.argmax(vals))] - fit.x[0]) < 2e-5
 
     def test_constant_z_rejected(self):
         ds = build_dataset([1, 2, 3], [1, 1, 0], z_cols=[[0.0, 0.0, 0.0]])
@@ -151,7 +151,7 @@ class TestWeightedPartialFit:
         w = np.where(ds.delta == 1, 1.0, rng.uniform(0.1, 1.0, 15))
         a = weighted_partial_fit(ds, w)
         b = weighted_partial_fit(ds, 3.7 * w)
-        assert np.allclose(a.beta, b.beta, atol=1e-9)
+        assert np.allclose(a.x, b.x, atol=1e-9)
 
     def test_score_matches_finite_differences(self, rng):
         for _ in range(5):
@@ -208,15 +208,15 @@ class TestFitLatency:
         cox = weighted_partial_fit(ds, np.ones(n))
         assert lat.converged
         assert np.allclose(lat.weights, 1.0)
-        assert np.allclose(lat.beta, cox.beta, atol=1e-8)
+        assert np.allclose(lat.beta, cox.x, atol=1e-8)
 
     def test_certain_susceptibility_matches_no_cure_fit(self, rng):
         ds = random_dataset(rng, n=30)
         gamma = np.array([50.0, 0.0])  # phi = 1 everywhere
         lat = fit_latency(ds, gamma)
-        cox = weighted_partial_fit(ds, np.where(ds.y > lat.last_event_time, 0.0, 1.0))
+        cox = weighted_partial_fit(ds, np.where(ds.y > lat.Lambda.times[-1], 0.0, 1.0))
         # censored beyond the last event still get weight zero by the tail rule
-        assert np.allclose(lat.beta, cox.beta, atol=1e-6)
+        assert np.allclose(lat.beta, cox.x, atol=1e-6)
 
     def test_fixed_point_residual_small(self, rng):
         ds = random_dataset(rng, n=40)
@@ -230,7 +230,7 @@ class TestFitLatency:
         lat = fit_latency(ds, np.array([0.2, -0.4]))
         assert np.all((lat.weights >= 0) & (lat.weights <= 1))
         assert np.all(lat.weights[ds.delta == 1] == 1.0)
-        plateau = (ds.delta == 0) & (ds.y > lat.last_event_time)
+        plateau = (ds.delta == 0) & (ds.y > lat.Lambda.times[-1])
         assert np.all(lat.weights[plateau] == 0.0)
 
     def test_permutation_invariance(self, rng):
@@ -244,12 +244,12 @@ class TestFitLatency:
     def test_em_objective_monotone(self, rng):
         ds = random_dataset(rng, n=30)
         gamma = np.array([0.5, 0.2])
-        beta = weighted_partial_fit(ds, np.ones(30)).beta
+        beta = weighted_partial_fit(ds, np.ones(30)).x
         Lam = breslow_update(ds, np.ones(30), beta)
         values = [observed_loglik(ds, gamma, beta, Lam)]
         for _ in range(25):
             w = compute_weights(ds, gamma, beta, Lam)
-            beta = weighted_partial_fit(ds, w, init=beta).beta
+            beta = weighted_partial_fit(ds, w, init=beta).x
             Lam = breslow_update(ds, w, beta)
             values.append(observed_loglik(ds, gamma, beta, Lam))
         assert np.all(np.diff(values) >= -1e-10)
@@ -259,7 +259,7 @@ class TestProfileResidual:
     def test_exact_fixed_point_is_zero(self, rng):
         ds = random_dataset(rng, n=20)
         gamma = np.array([0.3, 0.2])
-        beta = weighted_partial_fit(ds, np.ones(20)).beta
+        beta = weighted_partial_fit(ds, np.ones(20)).x
         Lam = breslow_update(ds, np.ones(20), beta)
         for _ in range(400):
             w = compute_weights(ds, gamma, beta, Lam)

@@ -79,15 +79,15 @@ class TestFitMleEm:
     def test_frozen_weights_mstep_equals_latency_iteration(self, rng):
         ds = random_dataset(rng, n=35)
         gamma = np.array([0.4, 0.3])
-        beta0 = weighted_partial_fit(ds, np.ones(35)).beta
+        beta0 = weighted_partial_fit(ds, np.ones(35)).x
         Lam0 = breslow_update(ds, np.ones(35), beta0)
         w = compute_weights(ds, gamma, beta0, Lam0)
         # the shared code path makes the two updates bit-identical
         pf_a = weighted_partial_fit(ds, w, init=beta0)
-        Lam_a = breslow_update(ds, w, pf_a.beta)
+        Lam_a = breslow_update(ds, w, pf_a.x)
         pf_b = weighted_partial_fit(ds, w, init=beta0)
-        Lam_b = breslow_update(ds, w, pf_b.beta)
-        assert np.array_equal(pf_a.beta, pf_b.beta)
+        Lam_b = breslow_update(ds, w, pf_b.x)
+        assert np.array_equal(pf_a.x, pf_b.x)
         assert np.array_equal(Lam_a.values, Lam_b.values)
         # and the incidence M-step with soft responses w is fit_incidence on 1-w
         inc = fit_incidence(1.0 - w, ds.x, init=gamma)

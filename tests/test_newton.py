@@ -32,3 +32,14 @@ def test_nan_direction_keeps_the_last_finite_state():
     res = damped_newton(objective, derivatives, np.array([2.0]), tol=1e-10, max_iter=20)
     assert not res.converged
     assert res.x[0] == 2.0 and res.value == -4.0 and res.iterations == 1
+
+
+def test_empty_parameter_vector_is_at_its_optimum():
+    # No parameters (a latency without covariates): the score is empty, its
+    # max-norm 0, and the start is returned as converged.
+    def derivatives(x):
+        return np.zeros(0), lambda: np.zeros((0, 0))
+
+    res = damped_newton(lambda x: -1.5, derivatives, np.zeros(0), tol=1e-10, max_iter=20)
+    assert res.converged and res.iterations == 0
+    assert res.x.shape == (0,) and res.value == -1.5 and res.score_norm == 0.0
