@@ -42,7 +42,7 @@ from .inference import (
     resample_indices,
     wald_test,
 )
-from .kernels import Bandwidth, cv_bandwidth, default_grid, epanechnikov
+from .kernels import Bandwidth, cv_bandwidth, default_grid
 from .latency_cox import (
     LatencyFit,
     StepFunction,
@@ -97,7 +97,6 @@ __all__ = [
     "cv_bandwidth",
     "default_grid",
     "destandardize_gamma",
-    "epanechnikov",
     "estimate_cure_prob",
     "fit_cure_model",
     "fit_incidence",

@@ -91,16 +91,24 @@ class CovariateMeta:
 
 @dataclass(frozen=True)
 class _TimeOrder:
-    """The subjects in follow-up-time order, with their tie groups.
+    """The subjects in follow-up-time order, with their tie groups and the
+    per-dataset constants of the latency fit.
 
     ``order`` lists the subjects by ascending time, events before censored
     subjects within a tie; reversed, it runs by decreasing time with events
     after censored ties.  ``start[k]`` is the first sorted position with the
     time of sorted position k, so {j : Y_j >= Y_(k)} are the sorted
     positions from ``start[k]`` on.  ``event_times`` holds the distinct
-    event times in ascending order, ``event_counts`` the events at each, and
-    ``event_first`` and ``event_last`` the first and last sorted position
-    with that time, censored ties included.
+    event times in ascending order, ``event_counts`` the events at each (as
+    floats), and ``event_first`` and ``event_last`` the first and last
+    sorted position with that time, censored ties included.
+
+    Per sorted position: ``event`` marks the events, ``hazard_index`` counts
+    the distinct event times at or before its time (so a step function on
+    the event times, padded with its initial value in front, takes the
+    value at that index there) and ``plateau`` marks the times beyond the
+    last event time.  ``z`` holds the latency covariates in this order and
+    ``z_events`` their sum over the events, taken in subject order.
     """
 
     order: np.ndarray
@@ -109,6 +117,11 @@ class _TimeOrder:
     event_counts: np.ndarray
     event_first: np.ndarray
     event_last: np.ndarray
+    event: np.ndarray
+    hazard_index: np.ndarray
+    plateau: np.ndarray
+    z: np.ndarray
+    z_events: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -206,27 +219,41 @@ class SurvivalDataset:
         """The one sort by follow-up time, built on first use and then shared."""
         order = np.lexsort((1 - self.delta, self.y))
         y = self.y[order]
+        event = self.delta[order] == 1
         first = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
         sizes = np.diff(first, append=self.n)
         events = np.add.reduceat(self.delta[order], first)
         has = events > 0
+        last = (first + sizes - 1)[has]
         return _TimeOrder(
             order=_readonly(order),
             start=_readonly(np.repeat(first, sizes)),
             event_times=_readonly(y[first[has]]),
-            event_counts=_readonly(events[has]),
+            event_counts=_readonly(events[has].astype(float)),
             event_first=_readonly(first[has]),
-            event_last=_readonly((first + sizes - 1)[has]),
+            event_last=_readonly(last),
+            event=_readonly(event),
+            hazard_index=_readonly(np.repeat(np.cumsum(has), sizes)),
+            plateau=_readonly(np.arange(self.n) > last[-1]),
+            z=_readonly(self.z[order]),
+            z_events=_readonly(np.sum(self.z[self.delta == 1], axis=0)),
         )
 
     @cached_property
     def _cells(self) -> _Cells:
         """The discrete-covariate cells, grouped once on first use and then shared."""
         disc = self.x[self._time_order.order][:, self.meta.discrete_columns()]
-        keys, labels = np.unique(disc, axis=0, return_inverse=True)
+        if disc.shape[1] == 0:
+            return _Cells(keys=_readonly(np.empty((1, 0))), positions=(_readonly(np.arange(self.n)),))
+        # A stable sort by the first column, then the second, ...; a cell
+        # starts wherever a column differs from the row before (!=, so -0.0
+        # joins 0.0 and a NaN starts a cell of its own).
+        positions = np.lexsort(disc.T[::-1])
+        rows = disc[positions]
+        starts = np.flatnonzero(np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1))))
         return _Cells(
-            keys=_readonly(keys),
-            positions=tuple(_readonly(np.flatnonzero(labels == k)) for k in range(len(keys))),
+            keys=_readonly(rows[starts]),
+            positions=tuple(_readonly(p) for p in np.split(positions, starts[1:])),
         )
 
     @cached_property

@@ -48,10 +48,11 @@ class Bandwidth:
         return self.h.size
 
 
-def epanechnikov(u):
-    """(3/4)(1 - u^2) on |u| <= 1, zero outside."""
+def epanechnikov(u, out=None):
+    """(3/4)(1 - u^2) on |u| <= 1, zero outside; into ``out`` (``u`` itself
+    allowed) when given."""
     u = np.asarray(u, dtype=float)
-    out = np.square(u, out=np.empty_like(u))
+    out = np.square(u, out=np.empty_like(u) if out is None else out)
     np.subtract(1.0, out, out=out)
     np.fmax(out, 0.0, out=out)  # also maps a NaN argument to 0
     out *= 0.75
@@ -85,18 +86,29 @@ def kernel_weight_matrix(
     return w
 
 
-def _continuous_weights(x_query: np.ndarray, x_data: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The continuous factor of :func:`kernel_weight_matrix`, on continuous columns only."""
+def _continuous_weights(
+    x_query: np.ndarray,
+    x_data: np.ndarray,
+    h: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """The continuous factor of :func:`kernel_weight_matrix`, on continuous
+    columns only; into ``out`` when given, with ``work`` (of the same shape)
+    as working space for each covariate after the first."""
     # In place, and without a matrix of ones: each fresh temporary of the
     # block's size costs a pass and page faults.
     w = None
     for c, h_c in enumerate(h):
-        u = np.subtract(x_data[None, :, c], x_query[:, None, c])
+        u = np.subtract(x_data[None, :, c], x_query[:, None, c], out=out if w is None else work)
         u /= h_c
-        k = epanechnikov(u)
+        k = epanechnikov(u, out=u)
         k /= h_c
         w = k if w is None else np.multiply(w, k, out=w)
-    return np.ones((x_query.shape[0], x_data.shape[0])) if w is None else w
+    if w is None:
+        w = np.empty((x_query.shape[0], x_data.shape[0])) if out is None else out
+        w.fill(1.0)
+    return w
 
 
 def default_grid(lo: float = 0.05, hi: float = DEFAULT_CAP, num: int = 30) -> np.ndarray:

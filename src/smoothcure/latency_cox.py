@@ -23,11 +23,24 @@ distinct event times rather than over subjects, each formed by one pass
 over the subjects in the dataset's time order; its score and information
 need no per-subject outer products.  The iteration starts from the fit that
 ignores the cured fraction altogether.
+
+The passes work on what the weights change and nothing else.  What a
+dataset fixes is built once, with its time order: the latency covariates
+and event indicator in that order, each subject's event-time index, the
+plateau mask and the sum of z over the events; with the incidence held
+fixed, phi is formed once per fit.  Within a pass Lambda(Y) is a gather
+from the cumulative hazard, e^{beta'z} is formed once for both the Breslow
+update and the next weights, and the weights stay in time order; a state's
+step function and subject-order weights are formed only when read.
+:func:`compute_weights`, :func:`weighted_partial_fit` and
+:func:`breslow_update` take subject order and wrap the same formulas, so
+they agree with the passes bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -38,6 +51,7 @@ from .incidence import expit
 from .newton import NewtonResult, damped_newton
 
 __all__ = [
+    "EMState",
     "LatencyFit",
     "StepFunction",
     "breslow_update",
@@ -110,13 +124,27 @@ class LatencyFit:
     converged: bool
 
 
+def _log_survival(cumhaz: np.ndarray, risk: np.ndarray, beyond: np.ndarray) -> np.ndarray:
+    """log S_u(Y) = -Lambda(Y) e^{beta'z} from Lambda(Y) and e^{beta'z}, and
+    -inf where Y lies beyond the last jump time of Lambda (the zero-tail rule)."""
+    return np.where(beyond, -np.inf, -(cumhaz * risk))
+
+
 def _log_susceptible_survival(
     ds: SurvivalDataset, beta: np.ndarray, Lambda: StepFunction
 ) -> np.ndarray:
-    """log S_u(Y) per subject at its own time: -Lambda(Y) e^{beta'z}, and
-    -inf beyond the last jump time of Lambda (the zero-tail rule)."""
-    hazard = Lambda(ds.y) * np.exp(ds.z @ np.asarray(beta, dtype=float))
-    return np.where(ds.y > Lambda.times[-1], -np.inf, -hazard)
+    """log S_u(Y) per subject at its own time, in subject order."""
+    risk = np.exp(ds.z @ np.asarray(beta, dtype=float))
+    return _log_survival(Lambda(ds.y), risk, ds.y > Lambda.times[-1])
+
+
+def _susceptibility(phi: np.ndarray, log_survival: np.ndarray, event: np.ndarray) -> np.ndarray:
+    """1 for events, and phi S_u(Y) / (1 - phi + phi S_u(Y)) for the others."""
+    num = phi * np.exp(log_survival)
+    den = 1.0 - phi + num
+    with np.errstate(invalid="ignore"):
+        g = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+    return np.where(event, 1.0, g)
 
 
 def compute_weights(
@@ -126,11 +154,7 @@ def compute_weights(
     censored at Y the posterior phi S_u(Y) / (1 - phi + phi S_u(Y)), which is
     0 beyond the last jump time of Lambda."""
     phi = expit(ds.x @ np.asarray(gamma, dtype=float))
-    num = phi * np.exp(_log_susceptible_survival(ds, beta, Lambda))
-    den = 1.0 - phi + num
-    with np.errstate(invalid="ignore"):
-        g = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-    return np.where(ds.delta == 1, 1.0, g)
+    return _susceptibility(phi, _log_susceptible_survival(ds, beta, Lambda), ds.delta == 1)
 
 
 def _event_riskset_sums(t: _TimeOrder, values: np.ndarray) -> np.ndarray:
@@ -144,9 +168,16 @@ def _event_riskset_sums(t: _TimeOrder, values: np.ndarray) -> np.ndarray:
     return np.cumsum(values[::-1], axis=0)[::-1][t.event_first]
 
 
-def _partial_likelihood(ds: SurvivalDataset, weights: np.ndarray):
+def _at_own_times(t: _TimeOrder, cumhaz: np.ndarray) -> np.ndarray:
+    """A cumulative hazard given at the event times, read at each subject's
+    own time Y, in the time order: 0 before the first event time."""
+    return np.concatenate(([0.0], cumhaz))[t.hazard_index]
+
+
+def _partial_likelihood(t: _TimeOrder, w: np.ndarray):
     """Objective and derivatives of the weighted log partial likelihood, in
-    the form :func:`smoothcure.newton.damped_newton` takes them.
+    the form :func:`smoothcure.newton.damped_newton` takes them, for the
+    weights ``w`` in the dataset's time order.
 
     Counting-process form with Breslow ties: with r_j = w_j e^{beta'z_j},
     d_k events at the k-th distinct event time t_k and s0_k, s1_k the risk-set
@@ -159,12 +190,8 @@ def _partial_likelihood(ds: SurvivalDataset, weights: np.ndarray):
     exponentials are shifted by the largest linear predictor for overflow
     safety; the shift cancels in the score and the information.
     """
-    t = ds._time_order
-    z = ds.z[t.order]
-    w = np.asarray(weights, dtype=float)[t.order]
-    d = t.event_counts.astype(float)
+    z, d = t.z, t.event_counts
     n_events = float(np.sum(d))
-    z_events = np.sum(ds.z[ds.delta == 1], axis=0)
     # Risk weights and event-time sums at the point the objective saw last;
     # the Newton loop always asks for derivatives at that point.
     last: dict[str, np.ndarray] = {}
@@ -178,7 +205,7 @@ def _partial_likelihood(ds: SurvivalDataset, weights: np.ndarray):
             t_bad = t.event_times[np.flatnonzero(s0 <= 0.0)[0]]
             raise NumericalError(f"zero weighted risk-set mass at event time {t_bad}")
         last.update(beta=beta, r=r, s0=s0)
-        return float(z_events @ beta - d @ np.log(s0) - n_events * shift)
+        return float(t.z_events @ beta - d @ np.log(s0) - n_events * shift)
 
     def derivatives(beta):
         if "beta" not in last or not np.array_equal(beta, last["beta"]):
@@ -187,12 +214,10 @@ def _partial_likelihood(ds: SurvivalDataset, weights: np.ndarray):
         zbar = _event_riskset_sums(t, r[:, None] * z) / s0[:, None]
 
         def information():
-            hazard_jumps = np.zeros(ds.n)
-            hazard_jumps[t.event_first] = d / s0
-            ra = r * np.cumsum(hazard_jumps)
+            ra = r * _at_own_times(t, np.cumsum(d / s0))
             return (z.T * ra) @ z - (zbar.T * d) @ zbar
 
-        return z_events - d @ zbar, information
+        return t.z_events - d @ zbar, information
 
     return objective, derivatives
 
@@ -201,6 +226,15 @@ def _partial_likelihood(ds: SurvivalDataset, weights: np.ndarray):
 # the score, and a cap on iterations.
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 60
+
+
+def _partial_fit(ds: SurvivalDataset, w: np.ndarray, init: np.ndarray | None) -> NewtonResult:
+    """:func:`weighted_partial_fit` for weights ``w`` in the dataset's time order."""
+    if not ds._z_full_rank:
+        raise SingularHessianError("latency covariates have singular variance")
+    objective, derivatives = _partial_likelihood(ds._time_order, w)
+    x0 = np.zeros(ds.q) if init is None else init
+    return damped_newton(objective, derivatives, x0, NEWTON_TOL, NEWTON_MAX_ITER)
 
 
 def weighted_partial_fit(
@@ -215,11 +249,22 @@ def weighted_partial_fit(
     the result's ``x``; the Newton stops on a score max-norm below
     :data:`NEWTON_TOL` or after :data:`NEWTON_MAX_ITER` steps.
     """
-    if not ds._z_full_rank:
-        raise SingularHessianError("latency covariates have singular variance")
-    objective, derivatives = _partial_likelihood(ds, weights)
-    x0 = np.zeros(ds.q) if init is None else init
-    return damped_newton(objective, derivatives, x0, NEWTON_TOL, NEWTON_MAX_ITER)
+    return _partial_fit(ds, np.asarray(weights, dtype=float)[ds._time_order.order], init)
+
+
+def _breslow_cumhaz(t: _TimeOrder, r: np.ndarray) -> np.ndarray:
+    """Cumulative hazard at the event times from the risk weights r_j =
+    w_j e^{beta'z_j} in the time order: one jump per event time, the events
+    there over the risk-set sum of r."""
+    denom = _event_riskset_sums(t, r)
+    if np.any(denom <= 0.0):
+        t_bad = t.event_times[np.flatnonzero(denom <= 0.0)[0]]
+        raise NumericalError(f"zero weighted risk-set mass at event time {t_bad}")
+    cumhaz = np.cumsum(t.event_counts / denom)
+    # The jumps are positive, so finite values are a valid step function.
+    if not np.all(np.isfinite(cumhaz)):
+        raise ValueError("step function times and values must be finite")
+    return cumhaz
 
 
 def breslow_update(ds: SurvivalDataset, weights: np.ndarray, beta: np.ndarray) -> StepFunction:
@@ -230,48 +275,91 @@ def breslow_update(ds: SurvivalDataset, weights: np.ndarray, beta: np.ndarray) -
     """
     t = ds._time_order
     r = np.asarray(weights, dtype=float) * np.exp(ds.z @ np.asarray(beta, dtype=float))
-    denom = _event_riskset_sums(t, r[t.order])
-    if np.any(denom <= 0.0):
-        t_bad = t.event_times[np.flatnonzero(denom <= 0.0)[0]]
-        raise NumericalError(f"zero weighted risk-set mass at event time {t_bad}")
-    return StepFunction(t.event_times, np.cumsum(t.event_counts / denom))
+    return StepFunction(t.event_times, _breslow_cumhaz(t, r[t.order]))
+
+
+@dataclass(frozen=True)
+class EMState:
+    """One state of :func:`em_iterates`, held in the dataset's time order.
+
+    ``cumhaz`` is the baseline cumulative hazard at the dataset's event
+    times and ``sorted_weights`` the expected susceptibility weights of the
+    state in the time order ``t``; ``Lambda``, ``weights`` (subject order)
+    and :meth:`latency` are formed from them on first use.
+    """
+
+    gamma: np.ndarray
+    beta: np.ndarray
+    cumhaz: np.ndarray
+    sorted_weights: np.ndarray
+    iterations: int
+    converged: bool
+    t: _TimeOrder
+
+    @cached_property
+    def Lambda(self) -> StepFunction:
+        return StepFunction(self.t.event_times, self.cumhaz)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        weights = np.empty_like(self.sorted_weights)
+        weights[self.t.order] = self.sorted_weights
+        return weights
+
+    def latency(self) -> LatencyFit:
+        return LatencyFit(self.beta, self.Lambda, self.weights, self.iterations, self.converged)
 
 
 def em_iterates(
     ds: SurvivalDataset,
     gamma: np.ndarray,
-    incidence_step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, bool]],
+    incidence_step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, bool]] | None,
     tol: float,
     max_iter: int,
-) -> Iterator[tuple[np.ndarray, LatencyFit]]:
-    """EM for the mixture cure model: yields (gamma, latency) after each pass.
+) -> Iterator[EMState]:
+    """EM for the mixture cure model: yields the state after each pass.
 
     The start (pass 0) pairs ``gamma`` with the fit that ignores the cured
     fraction.  Each pass takes the expected susceptibility weights of the
     current state, updates the incidence by ``incidence_step(weights,
-    gamma)`` (new coefficients and whether that update converged), maximizes
-    the weighted partial likelihood and refreshes the baseline hazard.  The
-    passes stop once the largest change (coefficients in max-norm, hazard
-    across jump times) drops below ``tol``, or after ``max_iter`` passes.  A
-    stalled update only counts as convergence when the inner maximizations
-    themselves succeeded: a failed M-step that cannot move is no fixed point.
+    gamma)`` (new coefficients and whether that update converged; ``None``
+    holds gamma fixed), maximizes the weighted partial likelihood and
+    refreshes the baseline hazard.  The passes stop once the largest change
+    (coefficients in max-norm, hazard across jump times) drops below
+    ``tol``, or after ``max_iter`` passes.  A stalled update only counts as
+    convergence when the inner maximizations themselves succeeded: a failed
+    M-step that cannot move is no fixed point.
+
+    The passes run in the dataset's time order (see the module docstring);
+    the weights and Lambda take subject order and step-function form only
+    where a state's ``weights``, ``Lambda`` or ``latency()`` is read.
     """
-    ones = np.ones(ds.n)
-    beta = weighted_partial_fit(ds, ones).x
-    Lambda = breslow_update(ds, ones, beta)
+    t = ds._time_order
+    beta = _partial_fit(ds, np.ones(ds.n), None).x
+    # The linear predictors are formed in subject order, as the public
+    # formulas form them, so that both agree bit for bit.
+    risk = np.exp(ds.z @ beta)[t.order]
+    cumhaz = _breslow_cumhaz(t, risk)
+    phi = expit(ds.x @ gamma)[t.order]
     iterations, settled, converged = 0, False, False
     while True:
-        w = compute_weights(ds, gamma, beta, Lambda)
-        yield gamma, LatencyFit(beta, Lambda, w, iterations, converged)
+        w = _susceptibility(phi, _log_survival(_at_own_times(t, cumhaz), risk, t.plateau), t.event)
+        state = EMState(gamma, beta, cumhaz, w, iterations, converged, t)
+        yield state
         if settled or iterations >= max_iter:
             return
         iterations += 1
-        new_gamma, incidence_converged = incidence_step(w, gamma)
-        pf = weighted_partial_fit(ds, w, init=beta)
-        new_Lambda = breslow_update(ds, w, pf.x)
-        steps = [new_gamma - gamma, pf.x - beta, new_Lambda.values - Lambda.values]
+        if incidence_step is None:
+            new_gamma, incidence_converged = gamma, True
+        else:
+            new_gamma, incidence_converged = incidence_step(state.weights, gamma)
+            phi = expit(ds.x @ new_gamma)[t.order]
+        pf = _partial_fit(ds, w, beta)
+        risk = np.exp(ds.z @ pf.x)[t.order]
+        new_cumhaz = _breslow_cumhaz(t, w * risk)
+        steps = [new_gamma - gamma, pf.x - beta, new_cumhaz - cumhaz]
         change = np.max(np.abs(np.concatenate(steps)))
-        gamma, beta, Lambda = new_gamma, pf.x, new_Lambda
+        gamma, beta, cumhaz = new_gamma, pf.x, new_cumhaz
         settled = bool(change < tol)
         converged = settled and incidence_converged and pf.converged
 
@@ -289,9 +377,9 @@ def fit_latency(
     triple is self-consistent for :func:`profile_residual`.
     """
     gamma_hat = np.asarray(gamma_hat, dtype=float)
-    for _, latency in em_iterates(ds, gamma_hat, lambda w, gamma: (gamma, True), tol, max_iter):
+    for state in em_iterates(ds, gamma_hat, None, tol, max_iter):
         pass
-    return latency
+    return state.latency()
 
 
 def profile_residual(

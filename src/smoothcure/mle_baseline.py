@@ -98,16 +98,16 @@ def fit_mle_em(ds: SurvivalDataset, tol: float = 1e-7, max_iter: int = 500) -> C
         return inc.x, inc.converged
 
     path = []
-    for gamma, latency in em_iterates(ds, gamma, refit_incidence, tol, max_iter):
-        path.append(observed_loglik(ds, gamma, latency.beta, latency.Lambda))
+    for state in em_iterates(ds, gamma, refit_incidence, tol, max_iter):
+        path.append(observed_loglik(ds, state.gamma, state.beta, state.Lambda))
     return CureModelFit(
-        gamma=gamma,
-        beta=latency.beta,
-        Lambda=latency.Lambda,
+        gamma=state.gamma,
+        beta=state.beta,
+        Lambda=state.Lambda,
         loglik=path[-1],
-        iterations=latency.iterations,
-        converged=latency.converged,
+        iterations=state.iterations,
+        converged=state.converged,
         method="mle",
         loglik_path=np.asarray(path),
-        latency=latency,
+        latency=state.latency(),
     )

@@ -18,6 +18,37 @@ from .kernels import Bandwidth, _block_rows, _check_bandwidth, _continuous_weigh
 __all__ = ["estimate_cure_prob", "presmooth_all"]
 
 
+def _cure_probs(ds: SurvivalDataset, x_query: np.ndarray, cell_of: np.ndarray, b: Bandwidth) -> np.ndarray:
+    """Cure-probability estimates at the query rows, row i from the subjects
+    of cell ``cell_of[i]`` only (see :func:`estimate_cure_prob`)."""
+    cells = ds._cells
+    cont = ds.meta.continuous_columns()
+    x_cont = x_query[:, cont]
+    order = ds._time_order.order
+    queries = [np.flatnonzero(cell_of == k) for k in range(len(cells.positions))]
+    steps = [_block_rows(p.size) for p in cells.positions]
+    # One set of block buffers for the call, sized for the largest block.
+    size = max(min(step, q.size) * p.size for step, q, p in zip(steps, queries, cells.positions))
+    w_work, at_risk_work = np.empty(size), np.empty(size)
+    k_work = np.empty(size) if cont.size > 1 else None
+    out = np.empty(x_query.shape[0])
+    for positions, cell_queries, step in zip(cells.positions, queries, steps):
+        data = order[positions[::-1]]
+        x_data, event_col = ds.x[data][:, cont], ds.delta[data] == 1
+        for lo in range(0, cell_queries.size, step):
+            rows = cell_queries[lo : lo + step]
+            shape, m = (rows.size, data.size), rows.size * data.size
+            work = None if k_work is None else k_work[:m].reshape(shape)
+            w = _continuous_weights(x_cont[rows], x_data, b.h, out=w_work[:m].reshape(shape), work=work)
+            at_risk = np.cumsum(w, axis=1, out=at_risk_work[:m].reshape(shape))
+            if np.any(at_risk[:, -1] <= 0.0):
+                raise EmptyNeighborhoodError("all kernel weights vanish at a query point")
+            np.divide(w, at_risk, out=w, where=at_risk > 0.0)
+            np.subtract(1.0, w, out=w)
+            out[rows] = np.prod(w, axis=1, where=event_col)
+    return out
+
+
 def estimate_cure_prob(ds: SurvivalDataset, x_query: np.ndarray, b: Bandwidth) -> np.ndarray:
     """Cure-probability estimates at the (m, p) query rows ``x_query``.
 
@@ -38,38 +69,24 @@ def estimate_cure_prob(ds: SurvivalDataset, x_query: np.ndarray, b: Bandwidth) -
     """
     x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
     _check_bandwidth(b, ds.meta)
-    cont = ds.meta.continuous_columns()
-    x_cont = x_query[:, cont]
-    cells = ds._cells
-    cell_of = cells.of(x_query[:, ds.meta.discrete_columns()])
+    cell_of = ds._cells.of(x_query[:, ds.meta.discrete_columns()])
     if np.any(cell_of < 0):
         raise EmptyNeighborhoodError("no subject shares the discrete covariates of a query point")
-    order = ds._time_order.order
-    out = np.empty(x_query.shape[0])
-    for k, positions in enumerate(cells.positions):
-        queries = np.flatnonzero(cell_of == k)
-        data = order[positions[::-1]]
-        x_data, event_col = ds.x[data][:, cont], ds.delta[data] == 1
-        step = _block_rows(data.size)
-        for lo in range(0, queries.size, step):
-            rows = queries[lo : lo + step]
-            w = _continuous_weights(x_cont[rows], x_data, b.h)
-            at_risk = np.cumsum(w, axis=1)
-            if np.any(at_risk[:, -1] <= 0.0):
-                raise EmptyNeighborhoodError("all kernel weights vanish at a query point")
-            np.divide(w, at_risk, out=w, where=at_risk > 0.0)
-            np.subtract(1.0, w, out=w)
-            out[rows] = np.prod(w, axis=1, where=event_col)
-    return out
+    return _cure_probs(ds, x_query, cell_of, b)
 
 
 def presmooth_all(ds: SurvivalDataset, b: Bandwidth) -> np.ndarray:
     """Cure-probability estimates at every sample point, as a length-n vector.
 
     Evaluation at a sample point always has positive kernel mass (the point
-    weights itself), so no neighborhood can be empty here.  The estimates
-    come from :func:`estimate_cure_prob` in O(sum_k n_k^2) time for discrete
-    cells of n_k subjects (O(n^2) without discrete covariates), for any
-    number of event times, and O(n) memory beyond a few fixed-size blocks.
+    weights itself), so no neighborhood can be empty here, and each point's
+    cell is the dataset's own.  The estimates are those of
+    :func:`estimate_cure_prob`, in O(sum_k n_k^2) time for discrete cells of
+    n_k subjects (O(n^2) without discrete covariates), for any number of
+    event times, and O(n) memory beyond a few fixed-size blocks.
     """
-    return estimate_cure_prob(ds, ds.x, b)
+    _check_bandwidth(b, ds.meta)
+    cell_of = np.empty(ds.n, dtype=int)
+    for k, positions in enumerate(ds._cells.positions):
+        cell_of[ds._time_order.order[positions]] = k
+    return _cure_probs(ds, ds.x, cell_of, b)

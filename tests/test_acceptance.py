@@ -211,7 +211,8 @@ def test_criterion_7_gradient_checks():
         ds = build_dataset(y, delta, z_cols=[rng2.normal(size=n)])
         w = np.where(ds.delta == 1, 1.0, rng2.uniform(0.1, 1.0, n))
         beta = rng2.normal(0.0, 0.5, 1)
-        score = _partial_likelihood(ds, w)[1](beta)[0]
+        t = ds._time_order
+        score = _partial_likelihood(t, w[t.order])[1](beta)[0]
         fd = (partial_loglik(ds, w, beta + h) - partial_loglik(ds, w, beta - h)) / (2 * h)
         worst = max(worst, abs(fd - score[0]) / max(1.0, abs(score[0])))
     ok = announce("criterion 7 (derivative checks, 50+50 instances)", worst < 1e-5, f"max rel err={worst:.2e}")

@@ -15,11 +15,10 @@ from smoothcure import (
     ConfigurationError,
     cv_bandwidth,
     default_grid,
-    epanechnikov,
     standardize_continuous,
 )
 from smoothcure import kernels
-from smoothcure.kernels import DEFAULT_CAP, cv_criterion, kernel_weight_matrix
+from smoothcure.kernels import DEFAULT_CAP, cv_criterion, epanechnikov, kernel_weight_matrix
 from smoothcure.simulate import DEFAULT_SEED, SCENARIOS, generate, make_scenario
 
 from conftest import build_dataset, hostile_kernel_cases, random_dataset

@@ -158,7 +158,8 @@ class TestWeightedPartialFit:
             ds = random_dataset(rng, n=14, q=2)
             w = np.where(ds.delta == 1, 1.0, rng.uniform(0.1, 1.0, 14))
             beta = rng.normal(0.0, 0.5, 2)
-            score = _partial_likelihood(ds, w)[1](beta)[0]
+            t = ds._time_order
+            score = _partial_likelihood(t, w[t.order])[1](beta)[0]
             h = 1e-5
             for j in range(2):
                 e = np.zeros(2)

@@ -1,16 +1,27 @@
 """The one follow-up-time order per dataset, checked against brute-force sums.
 
 Every reader of the time order (risk-set sums, the partial likelihood and
-its derivatives, the Breslow update, presmoothing and the bandwidth
-criterion) is compared with a direct O(n^2) evaluation of its definition on
-inputs where the order is easy to get wrong: tie groups that mix events
-with censored subjects, heavy ties and duplicated rows.
+its derivatives, the Breslow update, presmoothing, the bandwidth criterion
+and the latency EM) is compared with a direct O(n^2) evaluation of its
+definition, or with the public subject-order formula, on inputs where the
+order is easy to get wrong: tie groups that mix events with censored
+subjects, heavy ties and duplicated rows.
 """
 
 import numpy as np
 import pytest
 
-from smoothcure import Bandwidth, breslow_update, fit_presmoothing, make_scenario, presmooth_all
+from smoothcure import (
+    Bandwidth,
+    breslow_update,
+    compute_weights,
+    fit_latency,
+    fit_mle_em,
+    fit_presmoothing,
+    make_scenario,
+    presmooth_all,
+)
+from smoothcure import latency_cox, mle_baseline
 from smoothcure.kernels import cv_criterion
 from smoothcure.latency_cox import _event_riskset_sums, _partial_likelihood
 from smoothcure.simulate import generate
@@ -160,7 +171,8 @@ def test_partial_likelihood_derivatives(name, ds):
     # q = 2, so the off-diagonal information entries are checked too.
     ds, w = with_plateau(ds, seed=len(name))
     beta = np.array([0.4, -0.3])
-    objective, derivatives = _partial_likelihood(ds, w)
+    t = ds._time_order
+    objective, derivatives = _partial_likelihood(t, w[t.order])
     assert objective(beta) == pytest.approx(partial_loglik_oracle(ds, w, beta), rel=1e-12)
     score, information = derivatives(beta)
 
@@ -177,6 +189,64 @@ def test_partial_likelihood_derivatives(name, ds):
     ]
     np.testing.assert_allclose(score, fd_score, rtol=1e-5)
     np.testing.assert_allclose(information(), fd_information, rtol=1e-5)
+
+
+def em_cases():
+    """The tie cases with plateau-censored subjects added, and one of them
+    without latency covariates (q = 0)."""
+    cases = [(f"{name}+plateau", with_plateau(ds, seed=len(name))[0]) for name, ds in CASES]
+    ds = cases[1][1]
+    cases.append(("q0", build_dataset(ds.y, ds.delta, x_cols=[ds.x[:, 1]])))
+    return cases
+
+
+EM_CASES = em_cases()
+
+
+def recorded_states(monkeypatch, module):
+    """Patch ``module.em_iterates`` so that every state it yields is kept."""
+    states = []
+
+    def recording(*args, _real=latency_cox.em_iterates, **kwargs):
+        for state in _real(*args, **kwargs):
+            states.append(state)
+            yield state
+
+    monkeypatch.setattr(module, "em_iterates", recording)
+    return states
+
+
+@pytest.mark.parametrize("method", ["fixed-gamma", "mle"])
+@pytest.mark.parametrize("name,ds", EM_CASES, ids=[name for name, _ in EM_CASES])
+def test_em_states_match_subject_order_formulas(monkeypatch, name, ds, method):
+    # The EM runs in the time order; every state it yields must give the
+    # weights of compute_weights (Lambda(Y) through StepFunction.__call__)
+    # bit for bit, and a Lambda that is the Breslow update of the previous
+    # state's weights (all ones before the start) at the state's beta.
+    if method == "fixed-gamma":
+        states = recorded_states(monkeypatch, latency_cox)
+        latency = fit_latency(ds, np.array([0.4, -0.6]))
+    else:
+        states = recorded_states(monkeypatch, mle_baseline)
+        latency = fit_mle_em(ds).latency
+    assert len(states) == latency.iterations + 1 >= 3
+    previous = np.ones(ds.n)
+    for state in states:
+        weights = compute_weights(ds, state.gamma, state.beta, state.Lambda)
+        assert np.array_equal(state.weights, weights)
+        times, values = breslow_oracle(ds, previous, state.beta)
+        assert np.array_equal(state.Lambda.times, times)
+        np.testing.assert_allclose(state.Lambda.values, values, rtol=1e-12, atol=0.0)
+        previous = weights
+    # The returned weights are in subject order: 1 at every event, 0 beyond
+    # the last event time and strictly between for the other censored.
+    assert np.array_equal(latency.weights, states[-1].weights)
+    assert np.array_equal(latency.Lambda.values, states[-1].Lambda.values)
+    plateau = ds.y > ds.y[ds.delta == 1].max()
+    assert np.all(latency.weights[ds.delta == 1] == 1.0)
+    assert np.all(latency.weights[plateau] == 0.0) and np.sum(plateau) >= 3
+    middle = latency.weights[(ds.delta == 0) & ~plateau]
+    assert np.all((middle > 0.0) & (middle < 1.0))
 
 
 def test_time_order_is_cached_and_read_only():
