@@ -128,11 +128,11 @@ class _TimeOrder:
 class _Cells:
     """The subjects grouped by their discrete incidence covariates.
 
-    Two subjects share a cell when every discrete covariate compares equal,
-    so a NaN value makes a cell of its own; with no discrete covariates all
-    subjects share one cell.  ``keys[k]`` holds cell k's discrete values and
-    ``positions[k]`` its subjects' sorted positions in the dataset's time
-    order, ascending.  Cells come in lexicographic order of their keys.
+    Two subjects share a cell when every discrete covariate compares equal;
+    with no discrete covariates all subjects share one cell.  ``keys[k]``
+    holds cell k's discrete values and ``positions[k]`` its subjects' sorted
+    positions in the dataset's time order, ascending.  Cells come in
+    lexicographic order of their keys.
     """
 
     keys: np.ndarray
@@ -172,6 +172,9 @@ class SurvivalDataset:
             raise ParseError("y, delta, x and z must have one row per subject")
         if not np.all(np.isfinite(y)) or np.any(y < 0):
             raise ParseError("follow-up times must be finite and nonnegative")
+        for block, values in (("x", x), ("z", z)):
+            if not np.all(np.isfinite(values)):
+                raise ParseError(f"covariate block {block} must be finite")
         if not np.all((delta == 0) | (delta == 1)):
             raise ParseError("event indicators must be 0 or 1")
         if not np.any(delta == 1):
@@ -247,7 +250,7 @@ class SurvivalDataset:
             return _Cells(keys=_readonly(np.empty((1, 0))), positions=(_readonly(np.arange(self.n)),))
         # A stable sort by the first column, then the second, ...; a cell
         # starts wherever a column differs from the row before (!=, so -0.0
-        # joins 0.0 and a NaN starts a cell of its own).
+        # joins 0.0).
         positions = np.lexsort(disc.T[::-1])
         rows = disc[positions]
         starts = np.flatnonzero(np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1))))

@@ -152,6 +152,8 @@ class _CvCell:
 
 
 def _cv_table(ds: SurvivalDataset) -> tuple[_CvCell, ...]:
+    if ds.meta.n_continuous == 0:
+        raise ConfigurationError("no continuous covariates to select a bandwidth for")
     t = ds._time_order
     x = ds.x[t.order][:, ds.meta.continuous_columns()]
     # before[k]: event-time positions before sorted position k.
@@ -199,7 +201,7 @@ def _cv_scores(table: tuple[_CvCell, ...], grids: list[np.ndarray]) -> np.ndarra
             np.maximum(-0.5 / np.square(np.asarray(g, dtype=float)), -np.finfo(float).max)
             for g in grids
         ]
-    batch = scales[-1] if scales else np.zeros(1)
+    batch = scales[-1]
     outer = list(itertools.product(*scales[:-1]))
     g = batch.size
     steps = [min(cell.start.size, _block_rows(g * cell.start.size)) for cell in table]
@@ -227,11 +229,8 @@ def _cv_scores(table: tuple[_CvCell, ...], grids: list[np.ndarray]) -> np.ndarra
                     np.subtract(xc[lo:hi, None], xc[None, :], out=d2[c])
                     np.square(d2[c], out=d2[c])
                 f = factors[: g * m * n].reshape(g, m, n)
-                if n_cont:
-                    np.multiply(d2[-1], batch[:, None, None], out=f)
-                    np.exp(f, out=f)
-                else:
-                    f.fill(1.0)
+                np.multiply(d2[-1], batch[:, None, None], out=f)
+                np.exp(f, out=f)
                 rows = np.arange(m)
                 f[:, rows, rows + lo] = 0.0
                 # Flat position of (row, start[row]) in each candidate's weights.
@@ -323,17 +322,14 @@ def cv_bandwidth(
     """
     if not ds.meta.standardized:
         raise ConfigurationError("bandwidth selection expects standardized covariates")
-    n_cont = ds.meta.n_continuous
-    if n_cont == 0:
-        raise ConfigurationError("no continuous covariates to select a bandwidth for")
-    if not np.any(ds.delta == 1):
-        raise ConfigurationError("bandwidth selection is undefined without events")
+    table = _cv_table(ds)
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
     grid = grid[np.isfinite(grid) & (grid > 0)]
     if grid.size == 0:
         raise ConfigurationError("bandwidth grid is empty")
 
-    scores = _cv_scores(_cv_table(ds), [grid] * n_cont)
+    n_cont = ds.meta.n_continuous
+    scores = _cv_scores(table, [grid] * n_cont)
     best: tuple[float, ...] | None = None
     best_score = np.inf
     for combo, score in zip(itertools.product(grid, repeat=n_cont), scores):

@@ -30,8 +30,9 @@ and event indicator in that order, each subject's event-time index, the
 plateau mask and the sum of z over the events; with the incidence held
 fixed, phi is formed once per fit.  Within a pass Lambda(Y) is a gather
 from the cumulative hazard, e^{beta'z} is formed once for both the Breslow
-update and the next weights, and the weights stay in time order; a state's
-step function and subject-order weights are formed only when read.
+update and the next weights, and the weights stay in time order.  Each
+state is a :class:`LatencyFit`, the last one the fit itself; its step
+function and subject-order weights are formed only when read.
 :func:`compute_weights`, :func:`weighted_partial_fit` and
 :func:`breslow_update` take subject order and wrap the same formulas, so
 they agree with the passes bit for bit.
@@ -51,7 +52,6 @@ from .incidence import expit
 from .newton import NewtonResult, damped_newton
 
 __all__ = [
-    "EMState",
     "LatencyFit",
     "StepFunction",
     "breslow_update",
@@ -113,15 +113,6 @@ class StepFunction:
         on_grid = np.append(self.times, np.nan)[k] == t
         out = np.where(on_grid, np.append(self.jumps, 0.0)[k], 0.0)
         return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class LatencyFit:
-    beta: np.ndarray
-    Lambda: StepFunction
-    weights: np.ndarray
-    iterations: int
-    converged: bool
 
 
 def _log_survival(cumhaz: np.ndarray, risk: np.ndarray, beyond: np.ndarray) -> np.ndarray:
@@ -279,13 +270,15 @@ def breslow_update(ds: SurvivalDataset, weights: np.ndarray, beta: np.ndarray) -
 
 
 @dataclass(frozen=True)
-class EMState:
+class LatencyFit:
     """One state of :func:`em_iterates`, held in the dataset's time order.
+    The last state is the latency fit: :func:`fit_latency` returns it, and
+    ``CureModelFit.latency`` holds it for either method.
 
     ``cumhaz`` is the baseline cumulative hazard at the dataset's event
     times and ``sorted_weights`` the expected susceptibility weights of the
-    state in the time order ``t``; ``Lambda``, ``weights`` (subject order)
-    and :meth:`latency` are formed from them on first use.
+    state in the time order ``t``; ``Lambda`` and ``weights`` (subject
+    order) are formed from them on first use.
     """
 
     gamma: np.ndarray
@@ -306,9 +299,6 @@ class EMState:
         weights[self.t.order] = self.sorted_weights
         return weights
 
-    def latency(self) -> LatencyFit:
-        return LatencyFit(self.beta, self.Lambda, self.weights, self.iterations, self.converged)
-
 
 def em_iterates(
     ds: SurvivalDataset,
@@ -316,7 +306,7 @@ def em_iterates(
     incidence_step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, bool]] | None,
     tol: float,
     max_iter: int,
-) -> Iterator[EMState]:
+) -> Iterator[LatencyFit]:
     """EM for the mixture cure model: yields the state after each pass.
 
     The start (pass 0) pairs ``gamma`` with the fit that ignores the cured
@@ -332,7 +322,7 @@ def em_iterates(
 
     The passes run in the dataset's time order (see the module docstring);
     the weights and Lambda take subject order and step-function form only
-    where a state's ``weights``, ``Lambda`` or ``latency()`` is read.
+    where a state's ``weights`` or ``Lambda`` is read.
     """
     t = ds._time_order
     beta = _partial_fit(ds, np.ones(ds.n), None).x
@@ -344,7 +334,7 @@ def em_iterates(
     iterations, settled, converged = 0, False, False
     while True:
         w = _susceptibility(phi, _log_survival(_at_own_times(t, cumhaz), risk, t.plateau), t.event)
-        state = EMState(gamma, beta, cumhaz, w, iterations, converged, t)
+        state = LatencyFit(gamma, beta, cumhaz, w, iterations, converged, t)
         yield state
         if settled or iterations >= max_iter:
             return
@@ -372,14 +362,15 @@ def fit_latency(
 ) -> LatencyFit:
     """Alternate weight and (beta, Lambda) updates from the no-cure start.
 
-    Runs :func:`em_iterates` with the incidence coefficients held fixed.
-    The returned weights are those of the final parameters, so the returned
-    triple is self-consistent for :func:`profile_residual`.
+    Runs :func:`em_iterates` with the incidence coefficients held fixed and
+    returns its final state.  The returned weights are those of the final
+    parameters, so the returned triple is self-consistent for
+    :func:`profile_residual`.
     """
     gamma_hat = np.asarray(gamma_hat, dtype=float)
     for state in em_iterates(ds, gamma_hat, None, tol, max_iter):
         pass
-    return state.latency()
+    return state
 
 
 def profile_residual(

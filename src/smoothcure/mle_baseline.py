@@ -61,10 +61,7 @@ def observed_loglik(
     exception.
     """
     events = ds.delta == 1
-    event_y = ds.y[events]
-    if Lambda.times.size == 0:
-        return float("-inf") if event_y.size else 0.0
-    jump_sizes = Lambda.jump_at(event_y)
+    jump_sizes = Lambda.jump_at(ds.y[events])
     if np.any(jump_sizes <= 0.0):
         return float("-inf")
     log_phi, log_1m = _log_phi_pair(ds.x @ np.asarray(gamma, dtype=float))
@@ -109,5 +106,5 @@ def fit_mle_em(ds: SurvivalDataset, tol: float = 1e-7, max_iter: int = 500) -> C
         converged=state.converged,
         method="mle",
         loglik_path=np.asarray(path),
-        latency=state.latency(),
+        latency=state,
     )

@@ -45,6 +45,11 @@ DEFAULT_SEED = 1729
 # Share of each tail that the study's moments drop, per coordinate.
 TRIM_FRACTION = 0.01
 
+# Weibull shape and scale, and the censoring slope, of every scenario.
+RHO = 1.75
+MU = 1.5
+BETA_C = 1.0
+
 _COVARIATES = 0
 _CURE = 1
 _LATENCY = 2
@@ -53,19 +58,21 @@ _CENSORING = 3
 
 @dataclass(frozen=True)
 class SimulationScenario:
-    """One generator configuration: covariate recipe, truth and censoring."""
+    """One generator configuration: covariate recipe, truth and censoring.
+
+    The latency is Weibull proportional hazards with shape :data:`RHO` and
+    scale :data:`MU`; Weibull proportional-hazards censoring (``nu``) shares
+    that shape and has slope :data:`BETA_C` on the first covariate.
+    """
 
     model: str
     gamma: tuple[float, ...]
     beta: tuple[float, ...]
     tau0: float
     tau: float
-    rho: float = 1.75
-    mu: float = 1.5
     censoring: str = "exponential"
     lam_c: float | None = None
     nu: float | None = None
-    beta_c: float | None = None
     n: int = 200
     key: str = ""
     target_censoring: float | None = None
@@ -76,14 +83,12 @@ class SimulationScenario:
             raise ConfigurationError(f"unknown model id {self.model!r}")
         if not (self.tau0 < self.tau):
             raise ConfigurationError("tau0 must be strictly below tau")
-        if self.rho <= 0 or self.mu <= 0:
-            raise ConfigurationError("Weibull shape and scale must be positive")
         if self.censoring == "exponential":
             if not (self.lam_c and self.lam_c > 0):
                 raise ConfigurationError("exponential censoring needs a positive rate")
         elif self.censoring == "weibull-ph":
-            if not (self.nu and self.nu > 0) or self.beta_c is None:
-                raise ConfigurationError("weibull-ph censoring needs positive nu and a beta_c")
+            if not (self.nu and self.nu > 0):
+                raise ConfigurationError("weibull-ph censoring needs a positive nu")
         else:
             raise ConfigurationError(f"unknown censoring family {self.censoring!r}")
         if self.n < 2:
@@ -115,7 +120,8 @@ def truncated_weibull_ph_sample(rho, mu, linpred, tau0, u, no_jump: bool = False
 
 
 def _draw_covariates(model: str, n: int, rng: np.random.Generator):
-    """Covariate recipe per model id: (x block, z block, discrete flags, names)."""
+    """Covariate recipe per model id: (x block, z block, discrete flags,
+    x names, z names)."""
     if model == "1":
         x1 = rng.uniform(-1.0, 1.0, n)
         return x1[:, None], x1[:, None], (False,), ("x1",), ("x1",)
@@ -164,21 +170,17 @@ def generate(scenario: SimulationScenario, seed: int, replication: int = 0) -> S
     u_lat = _rng(seed, replication, _LATENCY).random(n)
     linpred = z @ np.asarray(scenario.beta)
     if scenario.model == "3-nojump":
-        t0 = truncated_weibull_ph_sample(
-            scenario.rho, scenario.mu, linpred, scenario.tau0, u_lat, no_jump=True
-        )
+        t0 = truncated_weibull_ph_sample(RHO, MU, linpred, scenario.tau0, u_lat, no_jump=True)
     else:
-        t0 = truncated_weibull_ph_sample(
-            scenario.rho, scenario.mu, linpred, scenario.tau0, 1.0 - u_lat
-        )
+        t0 = truncated_weibull_ph_sample(RHO, MU, linpred, scenario.tau0, 1.0 - u_lat)
     t = np.where(uncured, t0, np.inf)
 
     u_cens = _rng(seed, replication, _CENSORING).random(n)
     if scenario.censoring == "exponential":
         c_raw = -np.log1p(-u_cens) / scenario.lam_c
     else:
-        cens_scale = scenario.nu * scenario.mu * np.exp(scenario.beta_c * x_raw[:, 0])
-        c_raw = (-np.log1p(-u_cens) / cens_scale) ** (1.0 / scenario.rho)
+        cens_scale = scenario.nu * MU * np.exp(BETA_C * x_raw[:, 0])
+        c_raw = (-np.log1p(-u_cens) / cens_scale) ** (1.0 / RHO)
     c = np.minimum(c_raw, scenario.tau)
 
     y = np.minimum(t, c)
@@ -199,7 +201,7 @@ def _level_rows(gammas, betas, taus, cens_values, rates, family="exponential"):
                 censoring=family,
                 target_censoring=cens,
                 target_plateau=plat,
-                **({"lam_c": value} if family == "exponential" else {"nu": value, "beta_c": 1.0}),
+                **({"lam_c": value} if family == "exponential" else {"nu": value}),
             )
     return rows
 

@@ -146,6 +146,17 @@ class TestDatasetInvariants:
             SurvivalDataset(np.array([1.0, 2.0]), np.array([1, 0]),
                             np.array([[2.0], [1.0]]), np.empty((2, 0)), meta)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("block,column", [("x", 1), ("x", 2), ("z", 0)],
+                             ids=["continuous-x", "discrete-x", "z"])
+    def test_rejects_non_finite_covariate(self, block, column, value):
+        ds = build_dataset([1.0, 2.0, 3.0], [1, 0, 1], x_cols=[[0.5, 1.5, 2.5], [0.0, 1.0, 1.0]],
+                           z_cols=[[0.1, 0.2, 0.3]], discrete=[False, True])
+        arrays = {"x": np.array(ds.x), "z": np.array(ds.z)}
+        arrays[block][1, column] = value
+        with pytest.raises(ParseError, match=f"covariate block {block} "):
+            SurvivalDataset(ds.y, ds.delta, arrays["x"], arrays["z"], ds.meta, ds.z_names)
+
     def test_arrays_immutable(self):
         ds = build_dataset([1, 2, 3], [1, 1, 0], x_cols=[[0.0, 1.0, 2.0]])
         with pytest.raises(ValueError):

@@ -383,11 +383,13 @@ class TestCvBandwidth:
         b = cv_bandwidth(ds)
         assert np.array_equal(a.h, b.h)
 
-    def test_requires_events(self):
-        ds = build_dataset([1.0, 2.0, 3.0], [1, 0, 0], x_cols=[[0.0, 1.0, 2.0]])
-        ds = standardize_continuous(ds)
-        object.__setattr__(ds, "delta", np.zeros(3, dtype=int))  # bypass for the error path
-        with pytest.raises(ConfigurationError):
+    def test_requires_continuous_covariate(self, rng):
+        # Both entry points go through the one check; a standardized
+        # discrete-only dataset passes every other one.
+        ds = standardize_continuous(random_dataset(rng, n=20, discrete=True))
+        with pytest.raises(ConfigurationError, match="no continuous covariates"):
+            cv_criterion(ds, Bandwidth(np.empty(0)))
+        with pytest.raises(ConfigurationError, match="no continuous covariates"):
             cv_bandwidth(ds)
 
     def test_empty_grid_rejected(self, rng):

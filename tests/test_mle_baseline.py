@@ -43,6 +43,8 @@ class TestObservedLoglik:
         ds = build_dataset([1.0, 2.0], [1, 1], z_cols=[[0.0, 0.0]])
         Lam = StepFunction(np.array([2.0]), np.array([1.0]))  # no jump at t=1
         assert observed_loglik(ds, np.zeros(1), np.zeros(1), Lam) == -np.inf
+        empty = StepFunction(np.empty(0), np.empty(0))  # no jump at all
+        assert observed_loglik(ds, np.zeros(1), np.zeros(1), empty) == -np.inf
 
 
 class TestFitMleEm:

@@ -238,10 +238,10 @@ def test_em_states_match_subject_order_formulas(monkeypatch, name, ds, method):
         assert np.array_equal(state.Lambda.times, times)
         np.testing.assert_allclose(state.Lambda.values, values, rtol=1e-12, atol=0.0)
         previous = weights
-    # The returned weights are in subject order: 1 at every event, 0 beyond
-    # the last event time and strictly between for the other censored.
-    assert np.array_equal(latency.weights, states[-1].weights)
-    assert np.array_equal(latency.Lambda.values, states[-1].Lambda.values)
+    # The fit is the EM's final state, and its weights are in subject order:
+    # 1 at every event, 0 beyond the last event time and strictly between
+    # for the other censored.
+    assert latency is states[-1]
     plateau = ds.y > ds.y[ds.delta == 1].max()
     assert np.all(latency.weights[ds.delta == 1] == 1.0)
     assert np.all(latency.weights[plateau] == 0.0) and np.sum(plateau) >= 3
