@@ -21,7 +21,7 @@ from .errors import ConfigurationError, CureModelError
 from .incidence import expit
 from .inference import bootstrap_se, prediction_error
 from .kernels import Bandwidth, default_grid
-from .latency_cox import compute_weights
+from .latency_cox import EM_MAX_ITER, EM_TOL, compute_weights
 from .mle_baseline import CureModelFit
 from .nonparam import kaplan_meier
 from .pipeline import METHODS, fit_cure_model
@@ -92,9 +92,8 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
         help="comma list on the standardized covariate scale; overrides cross-validation",
     )
     parser.add_argument("--bandwidth-grid", default=None, metavar="LO:HI:N")
-    parser.add_argument("--bandwidth-cap", type=float, default=2.0)
-    parser.add_argument("--latency-tol", type=float, default=1e-7)
-    parser.add_argument("--latency-max-iter", type=int, default=500)
+    parser.add_argument("--latency-tol", type=float, default=EM_TOL)
+    parser.add_argument("--latency-max-iter", type=int, default=EM_MAX_ITER)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
@@ -102,7 +101,6 @@ def _fit_options(args: argparse.Namespace, method: str) -> dict:
     options = {"tol": args.latency_tol, "max_iter": args.latency_max_iter}
     if method == "mle":
         return options
-    options["bandwidth_cap"] = args.bandwidth_cap
     if args.bandwidth:
         options["bandwidth"] = Bandwidth(np.array([float(v) for v in args.bandwidth.split(",")]))
     if args.bandwidth_grid:
@@ -164,13 +162,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.key:
-        key = args.key
-    elif args.model == "demo":
-        key = "demo/convergence"
-    else:
-        key = f"m{args.model}/s{args.scenario}/c{args.cens_level}"
-    scenario = make_scenario(key, n=args.n)
+    scenario = make_scenario(args.key, n=args.n)
     methods = METHODS if args.methods == "both" else (args.methods,)
     report = run_study(scenario, args.reps, seed=args.seed, methods=methods, n_jobs=args.workers)
     rows = []
@@ -189,7 +181,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 )
             )
     provenance = _provenance(args)
-    provenance["scenario"] = key
+    provenance["scenario"] = args.key
     _write_csv(
         args.out,
         ["method", "parameter", "truth", "bias", "variance", "mse", "nonconverged", "replications"],
@@ -277,10 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study on a registry scenario")
-    p_sim.add_argument("--model", default="1", help="model id: 1, 2, 3, 4, 3nj or demo")
-    p_sim.add_argument("--scenario", type=int, default=1)
-    p_sim.add_argument("--cens-level", type=int, default=1)
-    p_sim.add_argument("--key", default=None, help="full registry key, overrides the three flags")
+    p_sim.add_argument(
+        "--key", default="m1/s1/c1", help="registry key, such as m3nj/s1/c2 or demo/convergence"
+    )
     p_sim.add_argument("--n", type=int, default=200)
     p_sim.add_argument("--reps", type=int, default=300)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -6,7 +6,7 @@ bandwidth minimizes a leave-one-out least-squares criterion for the kernel
 estimator of the conditional follow-up distribution H(t|x) = P(Y <= t | X=x),
 with t restricted to the observed event times (all of which lie at or below
 the largest event time).  Bandwidths are selected on standardized covariates
-and truncated from above at a fixed cap, 2 by default.
+and truncated from above at a fixed cap of 2, :data:`DEFAULT_CAP`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "kernel_weight_matrix",
 ]
 
+# The cap on every cross-validated bandwidth entry, on the standardized scale.
 DEFAULT_CAP = 2.0
 
 
@@ -293,16 +294,13 @@ def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
     return float(_cv_scores(_cv_table(ds), list(b.h[:, None]))[0])
 
 
-def cv_bandwidth(
-    ds: SurvivalDataset,
-    grid: np.ndarray | None = None,
-    cap: float = DEFAULT_CAP,
-) -> Bandwidth:
+def cv_bandwidth(ds: SurvivalDataset, grid: np.ndarray | None = None) -> Bandwidth:
     """Select the bandwidth by leave-one-out cross-validation.
 
     ``grid`` is a one-dimensional set of candidate values shared by every
-    continuous covariate; with several continuous covariates the full product
-    grid is scanned.  Each selected entry is truncated from above at ``cap``.
+    continuous covariate, :func:`default_grid` if omitted; with several
+    continuous covariates the full product grid is scanned.  Each selected
+    entry is truncated from above at :data:`DEFAULT_CAP`, 2.
     The criterion smooths with the Gaussian reference kernel (see
     :func:`cv_criterion`); the returned bandwidth is meant to feed the
     compact-support product kernel of the estimators.  The criterion is
@@ -338,4 +336,4 @@ def cv_bandwidth(
             best = combo
     if best is None or not np.isfinite(best_score):
         raise ConfigurationError("cross-validation criterion is degenerate on this grid")
-    return Bandwidth(np.minimum(np.asarray(best), cap))
+    return Bandwidth(np.minimum(np.asarray(best), DEFAULT_CAP))

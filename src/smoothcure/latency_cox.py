@@ -125,6 +125,8 @@ def _log_susceptible_survival(
     ds: SurvivalDataset, beta: np.ndarray, Lambda: StepFunction
 ) -> np.ndarray:
     """log S_u(Y) per subject at its own time, in subject order."""
+    if Lambda.times.size == 0:
+        raise NumericalError("cumulative hazard has no jump times")
     risk = np.exp(ds.z @ np.asarray(beta, dtype=float))
     return _log_survival(Lambda(ds.y), risk, ds.y > Lambda.times[-1])
 
@@ -159,6 +161,16 @@ def _event_riskset_sums(t: _TimeOrder, values: np.ndarray) -> np.ndarray:
     return np.cumsum(values[::-1], axis=0)[::-1][t.event_first]
 
 
+def _riskset_mass(t: _TimeOrder, r: np.ndarray) -> np.ndarray:
+    """:func:`_event_riskset_sums` of the risk weights ``r``, all positive or
+    a :class:`NumericalError` that names the first event time with none."""
+    s0 = _event_riskset_sums(t, r)
+    if np.any(s0 <= 0.0):
+        t_bad = t.event_times[np.flatnonzero(s0 <= 0.0)[0]]
+        raise NumericalError(f"zero weighted risk-set mass at event time {t_bad}")
+    return s0
+
+
 def _at_own_times(t: _TimeOrder, cumhaz: np.ndarray) -> np.ndarray:
     """A cumulative hazard given at the event times, read at each subject's
     own time Y, in the time order: 0 before the first event time."""
@@ -191,10 +203,7 @@ def _partial_likelihood(t: _TimeOrder, w: np.ndarray):
         eta = z @ beta
         shift = float(np.max(eta))
         r = w * np.exp(eta - shift)
-        s0 = _event_riskset_sums(t, r)
-        if np.any(s0 <= 0.0):
-            t_bad = t.event_times[np.flatnonzero(s0 <= 0.0)[0]]
-            raise NumericalError(f"zero weighted risk-set mass at event time {t_bad}")
+        s0 = _riskset_mass(t, r)
         last.update(beta=beta, r=r, s0=s0)
         return float(t.z_events @ beta - d @ np.log(s0) - n_events * shift)
 
@@ -217,6 +226,11 @@ def _partial_likelihood(t: _TimeOrder, w: np.ndarray):
 # the score, and a cap on iterations.
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 60
+
+# The default stop rule of the latency EM, for both fitters: the largest
+# parameter change per pass, and a cap on passes.
+EM_TOL = 1e-7
+EM_MAX_ITER = 500
 
 
 def _partial_fit(ds: SurvivalDataset, w: np.ndarray, init: np.ndarray | None) -> NewtonResult:
@@ -247,11 +261,7 @@ def _breslow_cumhaz(t: _TimeOrder, r: np.ndarray) -> np.ndarray:
     """Cumulative hazard at the event times from the risk weights r_j =
     w_j e^{beta'z_j} in the time order: one jump per event time, the events
     there over the risk-set sum of r."""
-    denom = _event_riskset_sums(t, r)
-    if np.any(denom <= 0.0):
-        t_bad = t.event_times[np.flatnonzero(denom <= 0.0)[0]]
-        raise NumericalError(f"zero weighted risk-set mass at event time {t_bad}")
-    cumhaz = np.cumsum(t.event_counts / denom)
+    cumhaz = np.cumsum(t.event_counts / _riskset_mass(t, r))
     # The jumps are positive, so finite values are a valid step function.
     if not np.all(np.isfinite(cumhaz)):
         raise ValueError("step function times and values must be finite")
@@ -357,8 +367,8 @@ def em_iterates(
 def fit_latency(
     ds: SurvivalDataset,
     gamma_hat: np.ndarray,
-    tol: float = 1e-7,
-    max_iter: int = 500,
+    tol: float = EM_TOL,
+    max_iter: int = EM_MAX_ITER,
 ) -> LatencyFit:
     """Alternate weight and (beta, Lambda) updates from the no-cure start.
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from .data import SurvivalDataset
 from .incidence import _log_phi_pair, _newton_incidence, fit_incidence
-from .latency_cox import LatencyFit, StepFunction, _log_susceptible_survival, em_iterates
+from .latency_cox import EM_MAX_ITER, EM_TOL, LatencyFit, StepFunction, em_iterates
+from .latency_cox import _log_susceptible_survival
 from .newton import NewtonResult
 
 __all__ = ["CureModelFit", "fit_mle_em", "observed_loglik"]
@@ -72,7 +73,7 @@ def observed_loglik(
     return float((np.sum(event_terms) + np.sum(censored_terms)) / ds.n)
 
 
-def fit_mle_em(ds: SurvivalDataset, tol: float = 1e-7, max_iter: int = 500) -> CureModelFit:
+def fit_mle_em(ds: SurvivalDataset, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> CureModelFit:
     """Joint EM fit of incidence, latency and baseline hazard.
 
     Starts from a logistic fit that labels plateau-censored subjects cured

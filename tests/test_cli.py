@@ -46,7 +46,7 @@ class TestFit:
         report = read_report(out)
         assert {"version", "config_hash", "seed", "estimates"} <= set(report)
         block = report["estimates"][0]
-        assert block["method"] == "presmoothing"
+        assert block["method"] == "presmooth"
         assert block["converged"] is True
         assert set(block["gamma"]) == {"gamma_intercept", "gamma_x1"}
         assert len(read_artifact_csv(lam)) > 10
@@ -57,7 +57,7 @@ class TestFit:
         code = main(["fit", "--input", data_csv, *SCHEMA, "--method", "both", "--out", str(out)])
         assert code == 0
         blocks = read_report(out)["estimates"]
-        assert [b["method"] for b in blocks] == ["presmoothing", "mle"]
+        assert [b["method"] for b in blocks] == ["presmooth", "mle"]
         assert set(blocks[0]["gamma"]) == set(blocks[1]["gamma"])
         assert set(blocks[0]) - set(blocks[1]) <= {"bandwidth", "lambda_csv", "pihat_csv"}
 
@@ -117,7 +117,7 @@ class TestSimulate:
     def test_registry_key_and_artifact(self, tmp_path):
         out = tmp_path / "study.csv"
         code = main(
-            ["simulate", "--model", "1", "--scenario", "1", "--cens-level", "1",
+            ["simulate", "--key", "m1/s1/c1",
              "--n", "50", "--reps", "10", "--seed", "5", "--methods", "mle", "--out", str(out)]
         )
         assert code == 0
@@ -129,7 +129,7 @@ class TestSimulate:
     def test_demo_and_explicit_keys_resolve(self, tmp_path):
         out = tmp_path / "demo.csv"
         code = main(
-            ["simulate", "--model", "demo", "--n", "60", "--reps", "10",
+            ["simulate", "--key", "demo/convergence", "--n", "60", "--reps", "10",
              "--seed", "5", "--methods", "mle", "--out", str(out)]
         )
         assert code == 0

@@ -35,7 +35,7 @@ def toy_fit(gamma, beta, times=(1.0, 2.0), values=(0.5, 1.2)):
         loglik=0.0,
         iterations=1,
         converged=True,
-        method="presmoothing",
+        method="presmooth",
     )
 
 
@@ -287,11 +287,20 @@ class TestFitOptions:
 
     @pytest.mark.parametrize(
         "method, options",
-        [*((m, {"bogus": 1}) for m in METHODS), ("mle", {"grid": None}), ("wat", {})],
+        [
+            *((m, {"bogus": 1}) for m in METHODS),
+            ("mle", {"grid": None}),
+            ("wat", {}),
+            ("presmooth", {"bandwidth_cap": 2.0}),
+        ],
     )
     def test_fit_cure_model_rejects(self, ds, method, options):
         with pytest.raises(ConfigurationError):
             fit_cure_model(ds, method, **options)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fit_reports_its_method_name(self, ds, method):
+        assert fit_cure_model(ds, method).method == method
 
     def test_bootstrap_rejects_unknown_option(self, ds):
         with pytest.raises(ConfigurationError):

@@ -10,12 +10,14 @@ from smoothcure import (
     breslow_update,
     compute_weights,
     fit_latency,
+    make_scenario,
     observed_loglik,
     profile_residual,
     weighted_partial_fit,
 )
 
 from smoothcure.latency_cox import _partial_likelihood
+from smoothcure.simulate import generate
 
 from conftest import build_dataset, random_dataset
 
@@ -119,6 +121,17 @@ def partial_loglik_oracle(ds, weights, beta):
     return total
 
 
+@pytest.mark.parametrize("fn", [compute_weights, profile_residual])
+def test_empty_cumulative_hazard_is_a_typed_error(fn):
+    ds = generate(make_scenario("m1/s1/c1", 50), 1729)
+    gamma, beta = np.zeros(ds.x.shape[1]), np.zeros(ds.q)
+    empty = StepFunction(np.empty(0), np.empty(0))
+    with pytest.raises(NumericalError, match="no jump times"):
+        fn(ds, gamma, beta, empty)
+    # The event term has no jump to read, so the likelihood stays a -inf sentinel.
+    assert observed_loglik(ds, gamma, beta, empty) == -math.inf
+
+
 class TestWeightedPartialFit:
     def test_matches_grid_oracle(self):
         ds = build_dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 0],
@@ -140,6 +153,12 @@ class TestWeightedPartialFit:
         grid = np.linspace(fit.x[0] - 0.02, fit.x[0] + 0.02, 4001)
         vals = [partial_loglik_oracle(ds, w, np.array([b])) for b in grid]
         assert abs(grid[int(np.argmax(vals))] - fit.x[0]) < 2e-5
+
+    def test_zero_mass_risk_set_raises(self):
+        # z varies, so the rank check passes; the last event's risk set has weight 0.
+        ds = build_dataset([1.0, 2.0, 3.0], [0, 0, 1], z_cols=[[0.0, 1.0, 0.5]])
+        with pytest.raises(NumericalError, match="event time 3"):
+            weighted_partial_fit(ds, np.array([1.0, 1.0, 0.0]))
 
     def test_constant_z_rejected(self):
         ds = build_dataset([1, 2, 3], [1, 1, 0], z_cols=[[0.0, 0.0, 0.0]])
