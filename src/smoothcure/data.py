@@ -37,8 +37,13 @@ __all__ = [
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
+    """``a`` as a read-only C-contiguous array.  A writeable array is
+    copied, so the caller's own array stays writeable and a later write to
+    it cannot reach the copy; an array already read-only (another dataset's,
+    say) is shared."""
+    if a.flags.writeable or not a.flags.c_contiguous:
+        a = np.array(a, order="C")
+        a.setflags(write=False)
     return a
 
 

@@ -7,16 +7,25 @@ estimator of the conditional follow-up distribution H(t|x) = P(Y <= t | X=x),
 with t restricted to the observed event times (all of which lie at or below
 the largest event time).  Bandwidths are selected on standardized covariates
 and truncated from above at a fixed cap of 2, :data:`DEFAULT_CAP`.
+
+The criterion is scored one discrete cell and one block of rows at a time.
+Each cell's columns are stored chunk-major (chunks of about sqrt(n_k)
+subjects, at most 16), so a row's running sum is a two-level scan: a
+running sum of the chunk totals, then one vector add per slot of a chunk
+over all chunks and rows of the block at once.  Each row's residual is
+summed unnormalized and divided by the row's mass afterwards.  Beyond
+block buffers of about 256 KB each, memory is O(K + n) for K candidates.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CovariateMeta, SurvivalDataset
+from .data import CovariateMeta, SurvivalDataset, _readonly
 from .errors import ConfigurationError
 
 __all__ = [
@@ -42,8 +51,7 @@ class Bandwidth:
         h = np.atleast_1d(np.asarray(self.h, dtype=float))
         if h.size and (not np.all(np.isfinite(h)) or np.any(h <= 0.0)):
             raise ConfigurationError(f"bandwidth entries must be positive and finite, got {h}")
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "h", _readonly(h))
 
     def __len__(self) -> int:
         return self.h.size
@@ -131,25 +139,60 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
 
 
+# The widest chunk of a cell's chunk-major layout (see :class:`_CvCell`).
+_CHUNK_WIDTH = 16
+
+
+def _chunks(n: int) -> tuple[int, int]:
+    """Chunk width and chunk count for a cell of n subjects.  The width is
+    ceil(sqrt(n)), at most :data:`_CHUNK_WIDTH`: each level of a row's
+    running sum then takes a few numpy calls over long slices."""
+    width = min(_CHUNK_WIDTH, math.isqrt(max(n - 1, 0)) + 1)
+    return width, -(-n // width)
+
+
+def _slot(j: np.ndarray, width: int, chunks: int) -> np.ndarray:
+    """Flat chunk-major slot (k * chunks + chunk) of time-order position
+    j = chunk * width + k."""
+    return (j % width) * chunks + j // width
+
+
 @dataclass(frozen=True)
 class _CvCell:
     """Bandwidth-free part of one discrete cell's share of the criterion.
 
     Pairs across cells have weight 0, so a cell is scored on its own
-    subjects only, in time order; ``x_cont`` holds their continuous
-    covariates, one row per covariate.  ``events[a]`` counts the event-time
-    positions (the last sorted position of each distinct event time, in any
-    cell) from the cell's subject a up to its next one; a row's running sum
-    is constant over them.  ``start[a]`` is the cell's first subject with
-    ``y >= Y_a``.  An event-time position ends its tie group, so it lies at
-    or after subject a exactly when it lies at or after a's tie-group start:
-    1{Y_a <= t} may switch on at ``start[a]`` even when that tie group
-    starts at a subject of another cell.
+    subjects only.  ``x`` holds their continuous covariates in time order,
+    one row per covariate.  Every per-column quantity is stored
+    chunk-major: with :func:`_chunks` giving the width c, the subject at
+    time-order position j = chunk * c + k goes to slot (k, chunk) of a
+    (c, chunks) array, and the slots past the last subject are padding.
+    ``x_slots`` holds the same covariates in that layout, +inf in the
+    padding: a padded column is at infinite distance from every subject.
+
+    ``events`` counts, per slot, the event-time positions (the last sorted
+    position of each distinct event time, in any cell) from the slot's
+    subject up to the cell's next one, 0 in the padding; a row's running
+    sum is constant over them.  ``start[a]`` is the flat slot of the cell's
+    first subject with ``y >= Y_a``.  An event-time position ends its tie
+    group, so it lies at or after subject a exactly when it lies at or
+    after a's tie-group start: 1{Y_a <= t} may switch on at ``start[a]``
+    even when that tie group starts at a subject of another cell.
     """
 
-    x_cont: np.ndarray
-    start: np.ndarray
+    x: np.ndarray
+    x_slots: np.ndarray
     events: np.ndarray
+    start: np.ndarray
+
+
+def _chunk_major(values: np.ndarray, pad: float) -> np.ndarray:
+    """The last axis of ``values`` laid out chunk-major, ``pad`` in the padding."""
+    n = values.shape[-1]
+    width, chunks = _chunks(n)
+    out = np.full(values.shape[:-1] + (width * chunks,), pad)
+    out[..., _slot(np.arange(n), width, chunks)] = values
+    return out.reshape(values.shape[:-1] + (width, chunks))
 
 
 def _cv_table(ds: SurvivalDataset) -> tuple[_CvCell, ...]:
@@ -161,14 +204,32 @@ def _cv_table(ds: SurvivalDataset) -> tuple[_CvCell, ...]:
     before = np.zeros(ds.n + 1)
     before[t.event_last + 1] = 1.0
     np.cumsum(before, out=before)
-    return tuple(
-        _CvCell(
-            x_cont=np.ascontiguousarray(x[pos].T),
-            start=np.searchsorted(pos, t.start[pos]),
-            events=np.diff(before[pos], append=before[-1]),
+    cells = []
+    for pos in ds._cells.positions:
+        x_cell = np.ascontiguousarray(x[pos].T)
+        cells.append(
+            _CvCell(
+                x=x_cell,
+                x_slots=_chunk_major(x_cell, np.inf),
+                events=_chunk_major(np.diff(before[pos], append=before[-1]), 0.0),
+                start=_slot(np.searchsorted(pos, t.start[pos]), *_chunks(pos.size)),
+            )
         )
-        for pos in ds._cells.positions
-    )
+    return tuple(cells)
+
+
+# A row's residual is formed from its unnormalized running sums A and mass
+# M as sum(A^2 * events) / M / M.  With M at least this, a term whose A^2
+# underflows has (A / M)^2 < 2^-622, far below what a score can show; rows
+# with less mass (a subnormal M, say) divide before squaring.
+_FOLD_MIN_MASS = 2.0**-200
+
+
+def _block_positions(slots: np.ndarray, m: int, chunks: int, batch: int) -> np.ndarray:
+    """Flat position of slot ``slots[i]`` of row i % m, batch entry 0, in a
+    block laid out as (width, batch, m, chunks)."""
+    rows = np.arange(slots.size) % m
+    return (slots // chunks) * (batch * m * chunks) + slots % chunks + rows * chunks
 
 
 def _cv_scores(table: tuple[_CvCell, ...], grids: list[np.ndarray]) -> np.ndarray:
@@ -178,39 +239,50 @@ def _cv_scores(table: tuple[_CvCell, ...], grids: list[np.ndarray]) -> np.ndarra
     scores come in :func:`itertools.product` order (the last covariate's
     value varies fastest).  The Gaussian constants cancel in the
     Nadaraya-Watson ratio, so row i of a candidate holds the weights
-    exp(-sum_c D_c^2 / (2 h_c^2)) of its cell's subjects, in time order.
-    Their running sum, less the row total from ``start[i]`` on and divided
-    by that total, is H(t | X_i) - 1{Y_i <= t} at every event-time position
-    up to the next subject; the squares times the ``events`` counts sum to
-    the residual.  A candidate under which no row has leave-one-out
-    mass scores +inf.
+    exp(-sum_c D_c^2 / (2 h_c^2)) of its cell's subjects, in the cell's
+    chunk-major layout (see :class:`_CvCell`).  Their running sum in time
+    order, less the row total M from ``start[i]`` on, is M times
+    H(t | X_i) - 1{Y_i <= t} at every event-time position up to the next
+    subject.  The running sum takes two levels: an exclusive running sum of
+    the chunk totals gives each chunk's first slot its offset, then c - 1
+    vector adds run down the slots of every chunk at once.  Folded into the
+    residual, the squares times the ``events`` counts are summed and then
+    divided twice by M; rows with M below :data:`_FOLD_MIN_MASS` divide
+    before squaring.  A candidate under which no row has leave-one-out mass
+    scores +inf.
 
     Each cell's rows are scored a block at a time, with the last
-    covariate's grid as a batch axis.  Each block forms its squared
-    distances once per covariate and the last covariate's factors
-    exp(-D^2 / (2 h^2)) once per grid value; every combination of the other
-    covariates multiplies them by its own factor.  The block totals are
-    summed with compensation, cell by cell and block by block.  Beyond the
-    blocks, sized for the largest cell, memory is O(K + n) for K candidates.
+    covariate's grid as a batch axis.  A block of m rows is laid out as
+    (c, G, m, chunks), slot k outermost, so each add of the running sum is
+    one contiguous slice.  Each block forms its squared distances once per
+    covariate and the last covariate's factors exp(-D^2 / (2 h^2)) once per
+    grid value; every combination of the other covariates multiplies them
+    by its own factor.  The block totals are summed with compensation, cell
+    by cell and block by block.  Every buffer is sized for the largest
+    cell's blocks, about :data:`_BLOCK_BYTES` (256 KB), or one row of G
+    candidates where that is larger; beyond them memory is O(K + n) for K
+    candidates.
     """
     n_cont = len(grids)
-    # The scale stays finite however small h is, so a zero distance keeps
-    # weight 1 instead of becoming 0 * inf; D^2 times it may overflow to
+    # Every scale lies in [-max, -tiny]: it stays finite however small h is,
+    # so a zero distance keeps weight 1 instead of becoming 0 * inf, and
+    # negative however large h is, so an infinite distance (a padded slot,
+    # or the row's own subject) has weight 0.  D^2 times it may overflow to
     # -inf, which is weight 0.
+    finfo = np.finfo(float)
     with np.errstate(divide="ignore", over="ignore"):
-        scales = [
-            np.maximum(-0.5 / np.square(np.asarray(g, dtype=float)), -np.finfo(float).max)
-            for g in grids
-        ]
+        scales = [np.clip(-0.5 / np.square(np.asarray(g, dtype=float)), -finfo.max, -finfo.tiny) for g in grids]
     batch = scales[-1]
     outer = list(itertools.product(*scales[:-1]))
     g = batch.size
-    steps = [min(cell.start.size, _block_rows(g * cell.start.size)) for cell in table]
-    size = max(step * cell.start.size for step, cell in zip(steps, table))
+    steps = [min(cell.x.shape[1], _block_rows(g * cell.events.size)) for cell in table]
+    size = max(step * cell.events.size for step, cell in zip(steps, table))
     d2_work = np.empty((n_cont, size))
     outer_work = np.empty((2, size)) if n_cont > 1 else None
     factors = np.empty(g * size)
     weights = np.empty_like(factors) if n_cont > 1 else factors
+    totals_work = np.empty(g * max(step * cell.events.shape[1] for step, cell in zip(steps, table)))
+    offsets_work = np.empty_like(totals_work)
     mass_work = np.empty(g * max(steps))
     resid_work = np.empty_like(mass_work)
     block_sum = np.empty((len(outer), g))
@@ -220,41 +292,70 @@ def _cv_scores(table: tuple[_CvCell, ...], grids: list[np.ndarray]) -> np.ndarra
     has_mass = np.zeros(block_sum.size, dtype=bool)
     with np.errstate(over="ignore"):
         for cell, step in zip(table, steps):
-            n = cell.start.size
+            n = cell.x.shape[1]
+            width, chunks = cell.events.shape
+            own = _slot(np.arange(n), width, chunks)
             for lo in range(0, n, step):
                 hi = min(lo + step, n)
                 m = hi - lo
+                r = g * m
+                if lo == 0 or m < step:
+                    # Positions of each row's own slot, start slot and start
+                    # chunk, for this and any later blocks of m rows.
+                    first = lo
+                    own_at = _block_positions(own[lo:], m, chunks, 1)
+                    start_at = _block_positions(cell.start[lo:], m, chunks, g)
+                    chunk_at = _block_positions(cell.start[lo:] % chunks, m, chunks, g)
+                    batch_at = (np.arange(g) * (m * chunks))[:, None]
+                rows = slice(lo - first, hi - first)
                 # Contiguous views, so a partial last block reshapes freely.
-                d2 = d2_work[:, : m * n].reshape(n_cont, m, n)
-                for c, xc in enumerate(cell.x_cont):
-                    np.subtract(xc[lo:hi, None], xc[None, :], out=d2[c])
+                d2 = d2_work[:, : width * m * chunks].reshape(n_cont, width, m, chunks)
+                for c, (x, x_slots) in enumerate(zip(cell.x, cell.x_slots)):
+                    np.subtract(x_slots[:, None, :], x[lo:hi, None], out=d2[c])
                     np.square(d2[c], out=d2[c])
-                f = factors[: g * m * n].reshape(g, m, n)
-                np.multiply(d2[-1], batch[:, None, None], out=f)
+                d2[-1].reshape(-1)[own_at[rows]] = np.inf
+                f = factors[: g * width * m * chunks].reshape(width, g, m, chunks)
+                # The products with the batch of scales, as an einsum over a
+                # unit axis: the same products, in a faster loop.
+                np.einsum("kiqj,gi->kgqj", d2[-1][:, None], batch[:, None], out=f)
                 np.exp(f, out=f)
-                rows = np.arange(m)
-                f[:, rows, rows + lo] = 0.0
-                # Flat position of (row, start[row]) in each candidate's weights.
-                at = (((np.arange(g) * m)[:, None] + rows) * n + cell.start[lo:hi]).ravel()
+                start = start_at[rows] + batch_at
+                start_chunk = chunk_at[rows] + batch_at
                 for o, outer_scale in enumerate(outer):
                     w = f
                     if outer_scale:
-                        e = outer_work[0, : m * n].reshape(m, n)
-                        part = outer_work[1, : m * n].reshape(m, n)
+                        e = outer_work[0, : width * m * chunks].reshape(width, m, chunks)
+                        part = outer_work[1, : width * m * chunks].reshape(width, m, chunks)
                         for c, s in enumerate(outer_scale):
                             np.multiply(d2[c], s, out=part if c else e)
                             if c:
                                 e += part
                         np.exp(e, out=e)
-                        w = np.multiply(f, e, out=weights[: g * m * n].reshape(g, m, n))
-                    w = w.reshape(g * m, n)
-                    mass = w.sum(axis=1, out=mass_work[: g * m])
-                    w.reshape(-1)[at] -= mass
-                    np.cumsum(w, axis=1, out=w)
-                    # Normalize before squaring: mass**2 can underflow where mass does not.
-                    w /= np.where(mass > 0.0, mass, 1.0)[:, None]
-                    resid = np.einsum("ij,ij,j->i", w, w, cell.events, out=resid_work[: g * m])
+                        w = np.multiply(f, e[:, None], out=weights[: f.size].reshape(f.shape))
+                    w = w.reshape(width, r * chunks)
+                    totals = np.add.reduce(w, axis=0, out=totals_work[: r * chunks])
+                    mass = totals.reshape(r, chunks).sum(axis=1, out=mass_work[:r])
+                    w.reshape(-1)[start] -= mass.reshape(g, m)
+                    totals[start_chunk] -= mass.reshape(g, m)
+                    # Each chunk starts from the running sum of the chunk
+                    # totals before it, then adds its slots in turn.
+                    offsets = offsets_work[: r * chunks].reshape(r, chunks)
+                    offsets[:, 0] = 0.0
+                    np.cumsum(totals.reshape(r, chunks)[:, :-1], axis=1, out=offsets[:, 1:])
+                    w[0] += offsets.reshape(-1)
+                    for k in range(1, width):
+                        np.add(w[k], w[k - 1], out=w[k])
+                    a = w.reshape(width, r, chunks)
+                    resid = np.einsum("krj,krj,kj->r", a, a, cell.events, out=resid_work[:r])
+                    folded = mass >= _FOLD_MIN_MASS
+                    scale = np.where(folded, mass, 1.0)
+                    resid /= scale
+                    resid /= scale
                     # A row without mass has all-zero weights and a residual of 0.
+                    small = np.flatnonzero(~folded & (mass > 0.0))
+                    if small.size:
+                        a_small = a[:, small] / mass[small, None]
+                        resid[small] = np.einsum("krj,krj,kj->r", a_small, a_small, cell.events)
                     resid.reshape(g, m).sum(axis=1, out=block_sum[o])
                     mass.reshape(g, m).max(axis=1, out=block_max[o])
                 # Compensated sum over cells and blocks, so the totals do
@@ -284,11 +385,15 @@ def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
 
     With the subjects sorted by follow-up time every estimate of H is a
     running sum along a row, so the score costs O(n^2) time for any number
-    of event times; no n x T table is formed.  Subjects in different
-    discrete cells have weight 0, so each cell of n_k subjects is scored on
-    its own and the cost is O(sum_k n_k^2); no pair across cells is formed.
-    This is the one-candidate case of the scan :func:`cv_bandwidth` makes.
-    Memory is O(n) beyond a few blocks of rows of about 256 KB each.
+    of event times; no n x T table is formed.  The running sum is a
+    two-level scan over the cell's chunk-major columns, and each row's
+    squared gaps are summed before they are divided by the row's squared
+    mass (rows of mass below 2^-200 divide first, so nothing underflows).
+    Subjects in different discrete cells have weight 0, so each cell of n_k
+    subjects is scored on its own and the cost is O(sum_k n_k^2); no pair
+    across cells is formed.  This is the one-candidate case of the scan
+    :func:`cv_bandwidth` makes.  Memory is O(n) beyond a few blocks of rows
+    of about 256 KB each.
     """
     _check_bandwidth(b, ds.meta)
     return float(_cv_scores(_cv_table(ds), list(b.h[:, None]))[0])
@@ -313,10 +418,15 @@ def cv_bandwidth(ds: SurvivalDataset, grid: np.ndarray | None = None) -> Bandwid
     forms its squared distances once per covariate and the last covariate's
     Gaussian factors once per value, and each combination of the other
     covariates multiplies those factors by its own.  A G x G grid thus takes
-    2G exponentials per pair of subjects instead of G^2.  Only pairs within
-    a cell are formed, so time is O(sum_k n_k^2) per candidate for cells of
-    n_k subjects, O(n^2) without discrete covariates.  Memory is O(K + n)
-    for K candidates beyond a few blocks of about 256 KB each.
+    2G exponentials per pair of subjects instead of G^2.  The block is laid
+    out chunk-major, slot outermost, so each row's running sum takes one
+    vector add per slot of a chunk over the whole block and one running sum
+    of the chunk totals; the residuals are divided by the row masses after
+    they are summed (see :func:`_cv_scores`).  Only pairs within a cell are
+    formed, so time is O(sum_k n_k^2) per candidate for cells of n_k
+    subjects, O(n^2) without discrete covariates.  Memory is O(K + n) for K
+    candidates beyond a few blocks of about 256 KB each (one row of G
+    candidates where that is larger: 360 KB at n = 1500, G = 30).
     """
     if not ds.meta.standardized:
         raise ConfigurationError("bandwidth selection expects standardized covariates")

@@ -46,7 +46,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .data import SurvivalDataset, _TimeOrder
+from .data import SurvivalDataset, _readonly, _TimeOrder
 from .errors import NumericalError, SingularHessianError
 from .incidence import expit
 from .newton import NewtonResult, damped_newton
@@ -90,10 +90,8 @@ class StepFunction:
         steps = np.diff(values, prepend=self.initial)
         if not (np.all(steps >= 0.0) or np.all(steps <= 0.0)):
             raise ValueError("step function values must be monotone from the initial value")
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "times", _readonly(times))
+        object.__setattr__(self, "values", _readonly(values))
 
     def __call__(self, t):
         idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="right")
@@ -265,6 +263,8 @@ def _breslow_cumhaz(t: _TimeOrder, r: np.ndarray) -> np.ndarray:
     # The jumps are positive, so finite values are a valid step function.
     if not np.all(np.isfinite(cumhaz)):
         raise ValueError("step function times and values must be finite")
+    # Read-only, so the StepFunction of a state's Lambda shares it, no copy.
+    cumhaz.setflags(write=False)
     return cumhaz
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .data import SurvivalDataset
 from .incidence import _log_phi_pair, _newton_incidence, fit_incidence
 from .latency_cox import EM_MAX_ITER, EM_TOL, LatencyFit, StepFunction, em_iterates
-from .latency_cox import _log_susceptible_survival
+from .latency_cox import _log_survival
 from .newton import NewtonResult
 
 __all__ = ["CureModelFit", "fit_mle_em", "observed_loglik"]
@@ -61,16 +61,43 @@ def observed_loglik(
     censored term with zero mass) yields a -inf sentinel rather than an
     exception.
     """
-    events = ds.delta == 1
-    jump_sizes = Lambda.jump_at(ds.y[events])
-    if np.any(jump_sizes <= 0.0):
+    jumps = Lambda.jump_at(ds.y[ds.delta == 1])
+    if np.any(jumps <= 0.0):
         return float("-inf")
+    return _loglik(ds, gamma, beta, Lambda(ds.y), jumps, ds.y > Lambda.times[-1])
+
+
+def _loglik(
+    ds: SurvivalDataset,
+    gamma: np.ndarray,
+    beta: np.ndarray,
+    cumhaz: np.ndarray,
+    jumps: np.ndarray,
+    beyond: np.ndarray,
+) -> float:
+    """:func:`observed_loglik` from Lambda(Y) per subject, Lambda's (positive)
+    jump at each event's time and the zero-tail flags, in subject order."""
+    events = ds.delta == 1
     log_phi, log_1m = _log_phi_pair(ds.x @ np.asarray(gamma, dtype=float))
-    log_s_u = _log_susceptible_survival(ds, beta, Lambda)
     eta = ds.z @ np.asarray(beta, dtype=float)
-    event_terms = log_phi[events] + np.log(jump_sizes) + eta[events] + log_s_u[events]
+    log_s_u = _log_survival(cumhaz, np.exp(eta), beyond)
+    event_terms = log_phi[events] + np.log(jumps) + eta[events] + log_s_u[events]
     censored_terms = np.logaddexp(log_1m[~events], log_phi[~events] + log_s_u[~events])
     return float((np.sum(event_terms) + np.sum(censored_terms)) / ds.n)
+
+
+def _state_loglik(ds: SurvivalDataset, state: LatencyFit) -> float:
+    """:func:`observed_loglik` of an EM state, read off its cumulative hazard
+    at the event times with no step function built: Lambda(Y) is a gather,
+    an event's jump a difference of neighbors.  Same terms, same order."""
+    t = ds._time_order
+    index = np.empty(ds.n, dtype=int)
+    index[t.order] = t.hazard_index
+    padded = np.concatenate(([0.0], state.cumhaz))
+    jumps = np.diff(padded)[index[ds.delta == 1] - 1]
+    if np.any(jumps <= 0.0):
+        return float("-inf")
+    return _loglik(ds, state.gamma, state.beta, padded[index], jumps, ds.y > t.event_times[-1])
 
 
 def fit_mle_em(ds: SurvivalDataset, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> CureModelFit:
@@ -97,7 +124,7 @@ def fit_mle_em(ds: SurvivalDataset, tol: float = EM_TOL, max_iter: int = EM_MAX_
 
     path = []
     for state in em_iterates(ds, gamma, refit_incidence, tol, max_iter):
-        path.append(observed_loglik(ds, state.gamma, state.beta, state.Lambda))
+        path.append(_state_loglik(ds, state))
     return CureModelFit(
         gamma=state.gamma,
         beta=state.beta,

@@ -162,6 +162,22 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.y[0] = 9.0
 
+    def test_caller_arrays_stay_writeable(self):
+        # The dataset keeps private copies: the caller may go on writing to
+        # its own arrays, and the writes do not reach the dataset.
+        y, delta = np.array([1.0, 2.0, 3.0]), np.array([1, 1, 0])
+        x, z = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]]), np.array([[0.5], [0.1], [0.2]])
+        meta = build_dataset([1, 2, 3], [1, 1, 0], x_cols=[[0.0, 1.0, 2.0]]).meta
+        ds = SurvivalDataset(y, delta, x, z, meta)
+        for name, a in (("y", y), ("delta", delta), ("x", x), ("z", z)):
+            assert a.flags.writeable, name
+            before = np.array(getattr(ds, name))
+            a[0] = 0
+            assert np.array_equal(getattr(ds, name), before), name
+        # Arrays that are already read-only, such as another dataset's, are shared.
+        again = SurvivalDataset(ds.y, ds.delta, ds.x, ds.z, meta)
+        assert all(getattr(again, k) is getattr(ds, k) for k in ("y", "delta", "x", "z"))
+
     def test_take_preserves_rows(self, rng):
         ds = build_dataset(rng.exponential(1, 10), np.ones(10, int),
                            x_cols=[rng.normal(size=10)], z_cols=[rng.normal(size=10)])

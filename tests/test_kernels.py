@@ -81,6 +81,14 @@ class TestKernelWeight:
         )[0, 0]
         assert scaled == pytest.approx(base / a, rel=1e-12)
 
+    def test_bandwidth_copies_writeable_input(self):
+        h = np.array([0.5, 1.5])
+        b = Bandwidth(h)
+        assert h.flags.writeable
+        h[0] = 9.0
+        assert b.h[0] == 0.5
+        assert Bandwidth(b.h).h is b.h
+
     def test_bandwidth_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             Bandwidth(np.array([0.0]))
@@ -148,6 +156,12 @@ def direct_cv_criterion(ds, b):
     return float(np.sum(resid * resid))
 
 
+def largest_span(ds):
+    """Columns of the widest cell in the criterion's chunk-major layout,
+    padding included: the row width that sizes its blocks."""
+    return max(cell.events.size for cell in kernels._cv_table(ds))
+
+
 class TestCvCriterionOracle:
     @pytest.mark.parametrize("case", range(6))
     def test_matches_direct_formula(self, rng, case):
@@ -164,8 +178,9 @@ class TestCvCriterionOracle:
         # The score is built a block of rows at a time; blocks of 1 and of 7
         # rows (most cases end on a partial block) give the same criterion.
         name, ds, values = hostile_kernel_cases(rng)[case]
-        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * ds.n * rows)
-        assert kernels._block_rows(ds.n) == rows
+        span = largest_span(ds)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * span * rows)
+        assert kernels._block_rows(span) == rows
         for h in values:
             b = Bandwidth(np.full(ds.meta.n_continuous, h))
             expected = direct_cv_criterion(ds, b)
@@ -243,6 +258,90 @@ class TestCvCriterionOracle:
             cv_criterion(ds, Bandwidth(np.array([0.5, 0.5])))
 
 
+class TestChunkMajorLayout:
+    """Each cell's columns are stored chunk-major, chunks of width c =
+    ``kernels._chunks(n)[0]``, the last one padded; the criterion is the
+    direct formula's whatever the cell sizes, ties and padding."""
+
+    @staticmethod
+    def check(ds, values):
+        for h in values:
+            b = Bandwidth(np.full(ds.meta.n_continuous, h))
+            with np.errstate(all="ignore"):
+                expected = direct_cv_criterion(ds, b)
+            assert math.isfinite(expected), h
+            assert cv_criterion(ds, b) == pytest.approx(expected, rel=1e-12, abs=0.0), h
+
+    def test_chunk_widths(self):
+        # ceil(sqrt(n)), at most 16: a cell of 1 is one slot, and from 226
+        # subjects on every chunk is 16 wide.
+        assert kernels._chunks(1) == (1, 1)
+        assert kernels._chunks(2) == (2, 1)
+        assert kernels._chunks(16) == (4, 4)
+        assert kernels._chunks(17) == (5, 4)
+        assert kernels._chunks(225) == (15, 15)
+        assert [kernels._chunks(n) for n in (255, 256, 257, 273)] == [(16, 16), (16, 16), (16, 17), (16, 18)]
+
+    @pytest.mark.parametrize("sizes", [(1, 15, 16, 17, 33), (255, 256), (257, 1, 273)])
+    def test_cell_sizes(self, rng, sizes):
+        # Cells of 1, c - 1, c, c + 1 and 2c + 1 subjects for c = 16, and
+        # cells at the widest chunk that fill their last chunk, miss it by
+        # one slot, or hold a single subject in it (257 = 16 * 16 + 1).
+        n = sum(sizes)
+        delta = (rng.random(n) < 0.7).astype(int)
+        delta[0] = 1
+        cell = np.repeat(np.arange(len(sizes)), sizes).astype(float)
+        ds = build_dataset(rng.exponential(1.0, n).round(2), delta,
+                           x_cols=[rng.normal(size=n), cell], discrete=[False, True])
+        assert sorted(p.size for p in ds._cells.positions) == sorted(sizes)
+        self.check(ds, (0.05, 0.4, 3.0))
+
+    @pytest.mark.parametrize("n", [23, 257])
+    def test_one_cell_not_a_multiple(self, rng, n):
+        # At h = 1e200 every pair has weight 1 and the padding still none.
+        width, chunks = kernels._chunks(n)
+        assert n % width != 0
+        delta = (rng.random(n) < 0.7).astype(int)
+        delta[0] = 1
+        ds = build_dataset(rng.exponential(1.0, n), delta, x_cols=[rng.normal(size=n)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.check(ds, (0.05, 0.4, 3.0, 1e200))
+
+    def test_tie_groups_cross_chunk_boundaries(self, rng):
+        # Runs of 7 equal times, events and censored mixed, in chunks of 5.
+        n = 25
+        width, _ = kernels._chunks(n)
+        assert width == 5
+        y = np.repeat(np.arange(1.0, 5.0), 7)[:n]
+        delta = (rng.random(n) < 0.6).astype(int)
+        delta[0] = 1
+        ds = build_dataset(y, delta, x_cols=[rng.normal(size=n)])
+        start = ds._time_order.start
+        assert np.any(start // width != np.arange(n) // width)
+        self.check(ds, (0.05, 0.4, 3.0))
+
+    def test_padding_next_to_zero_distance_pair(self, rng):
+        # 15 subjects in chunks of 4 leave one padded slot, after the last
+        # subject; the last two share their covariate value, so at h = 1e-200
+        # they are each other's whole neighborhood.
+        n = 15
+        assert kernels._chunks(n) == (4, 4)
+        y = np.arange(1.0, n + 1)
+        delta = np.ones(n, dtype=int)
+        x = rng.normal(size=n)
+        x[-1] = x[-2]
+        ds = build_dataset(y, delta, x_cols=[x])
+        b = Bandwidth(np.array([1e-200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cv_criterion(ds, b)
+        with np.errstate(all="ignore"):
+            expected = direct_cv_criterion(ds, b)
+        assert math.isfinite(expected) and expected > 0.0
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def batched_cases(rng):
     """The hostile cases plus mixed and three-covariate product grids."""
     cases = list(hostile_kernel_cases(rng))
@@ -276,10 +375,12 @@ class TestBatchedScores:
     def test_batch_matches_per_candidate(self, rng, monkeypatch, case, rows):
         name, ds, values = batched_cases(rng)[case]
         grid = np.asarray(values)
-        # Batches of ``rows`` rows (7 ends every case on a partial block);
-        # the one-candidate calls of cv_criterion get len(grid) times as many.
-        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * ds.n * grid.size * rows)
-        assert kernels._block_rows(ds.n * grid.size) == rows
+        # Batches of ``rows`` rows in the largest cell (7 ends every case on
+        # a partial block); the one-candidate calls of cv_criterion get
+        # len(grid) times as many.
+        span = largest_span(ds)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * span * grid.size * rows)
+        assert kernels._block_rows(span * grid.size) == rows
         n_cont = ds.meta.n_continuous
         scores = kernels._cv_scores(kernels._cv_table(ds), [grid] * n_cont)
         combos = list(itertools.product(grid, repeat=n_cont))
@@ -296,7 +397,7 @@ class TestBatchedScores:
         name, ds, values = batched_cases(rng)[case]
         ds = standardize_continuous(ds)
         grid = np.asarray(values)
-        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * ds.n * grid.size)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * largest_span(ds) * grid.size)
         n_cont = ds.meta.n_continuous
         scores = kernels._cv_scores(kernels._cv_table(ds), [grid] * n_cont)
         best = list(itertools.product(grid, repeat=n_cont))[int(np.argmin(scores))]

@@ -41,6 +41,14 @@ class TestStepFunction:
         assert empty.jump_at(1.0) == 0.0
         assert np.array_equal(empty.jump_at(np.array([0.0, 1.0])), [0.0, 0.0])
 
+    def test_copies_writeable_input(self):
+        times, values = np.array([1.0, 2.0]), np.array([0.5, 1.25])
+        f = StepFunction(times, values)
+        assert times.flags.writeable and values.flags.writeable
+        times[0], values[0] = 0.0, 0.0
+        assert f(1.0) == 0.5 and f.jump_at(1.0) == 0.5
+        assert StepFunction(f.times, f.values).times is f.times
+
     def test_survival_variant(self):
         s = StepFunction(np.array([1.0, 3.0]), np.array([0.75, 0.375]), initial=1.0)
         assert s(0.0) == 1.0
