@@ -18,10 +18,9 @@ import numpy as np
 from . import __version__
 from .data import CsvSchema, load_csv
 from .errors import ConfigurationError, CureModelError
-from .incidence import expit
-from .inference import bootstrap_se, prediction_error
+from .inference import _prediction, bootstrap_se
 from .kernels import Bandwidth, default_grid
-from .latency_cox import EM_MAX_ITER, EM_TOL, compute_weights
+from .latency_cox import EM_MAX_ITER, EM_TOL
 from .mle_baseline import CureModelFit
 from .nonparam import kaplan_meier
 from .pipeline import METHODS, fit_cure_model
@@ -214,9 +213,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     fit = fit_cure_model(train, args.method)
     if not fit.converged:
         raise CureModelError("training fit did not converge; refusing to predict")
-    phi = expit(test.x @ fit.gamma)
-    weights = compute_weights(test, fit.gamma, fit.beta, fit.Lambda)
-    pe = prediction_error(fit, test, swap_pairing=args.swap_pe_pairing)
+    phi, weights, pe = _prediction(fit, test, args.swap_pe_pairing)
     _write_csv(
         args.out,
         ["index", "phi", "weight"],
@@ -272,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--key", default="m1/s1/c1", help="registry key, such as m3nj/s1/c2 or demo/convergence"
     )
-    p_sim.add_argument("--n", type=int, default=200)
+    p_sim.add_argument("--n", type=int, default=None, help="sample size (default: the scenario's)")
     p_sim.add_argument("--reps", type=int, default=300)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--methods", choices=[*METHODS, "both"], default="both")

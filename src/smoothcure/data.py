@@ -112,8 +112,9 @@ class _TimeOrder:
     the distinct event times at or before its time (so a step function on
     the event times, padded with its initial value in front, takes the
     value at that index there) and ``plateau`` marks the times beyond the
-    last event time.  ``z`` holds the latency covariates in this order and
-    ``z_events`` their sum over the events, taken in subject order.
+    last event time.  ``x`` and ``z`` hold the incidence and latency
+    covariates in this order, and ``z_events`` the sum of z over the events,
+    taken in subject order.
     """
 
     order: np.ndarray
@@ -125,6 +126,7 @@ class _TimeOrder:
     event: np.ndarray
     hazard_index: np.ndarray
     plateau: np.ndarray
+    x: np.ndarray
     z: np.ndarray
     z_events: np.ndarray
 
@@ -243,6 +245,7 @@ class SurvivalDataset:
             event=_readonly(event),
             hazard_index=_readonly(np.repeat(np.cumsum(has), sizes)),
             plateau=_readonly(np.arange(self.n) > last[-1]),
+            x=_readonly(self.x[order]),
             z=_readonly(self.z[order]),
             z_events=_readonly(np.sum(self.z[self.delta == 1], axis=0)),
         )
@@ -250,7 +253,7 @@ class SurvivalDataset:
     @cached_property
     def _cells(self) -> _Cells:
         """The discrete-covariate cells, grouped once on first use and then shared."""
-        disc = self.x[self._time_order.order][:, self.meta.discrete_columns()]
+        disc = self._time_order.x[:, self.meta.discrete_columns()]
         if disc.shape[1] == 0:
             return _Cells(keys=_readonly(np.empty((1, 0))), positions=(_readonly(np.arange(self.n)),))
         # A stable sort by the first column, then the second, ...; a cell

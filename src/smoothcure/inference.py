@@ -141,6 +141,12 @@ def prediction_error(fit: CureModelFit, test: SurvivalDataset, swap_pairing: boo
     with a zero coefficient contribute zero; a phi of exactly 0 or 1 paired
     with a nonzero coefficient yields +inf.
     """
+    return _prediction(fit, test, swap_pairing)[2]
+
+
+def _prediction(fit: CureModelFit, test: SurvivalDataset, swap_pairing: bool) -> tuple[np.ndarray, np.ndarray, float]:
+    """phi and the expected susceptibility weights of ``fit`` on ``test``,
+    and the :func:`prediction_error` they give."""
     w = compute_weights(test, fit.gamma, fit.beta, fit.Lambda)
     phi = expit(test.x @ fit.gamma)
     first, second = (phi, 1.0 - phi) if swap_pairing else (1.0 - phi, phi)
@@ -148,6 +154,5 @@ def prediction_error(fit: CureModelFit, test: SurvivalDataset, swap_pairing: boo
     prob = np.concatenate([first, second])
     active = coef != 0.0
     coef, prob = coef[active], prob[active]
-    if np.any(prob <= 0.0):
-        return float("inf")
-    return float(-np.sum(coef * np.log(prob)))
+    pe = float("inf") if np.any(prob <= 0.0) else float(-np.sum(coef * np.log(prob)))
+    return phi, w, pe

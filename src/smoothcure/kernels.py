@@ -199,7 +199,7 @@ def _cv_table(ds: SurvivalDataset) -> tuple[_CvCell, ...]:
     if ds.meta.n_continuous == 0:
         raise ConfigurationError("no continuous covariates to select a bandwidth for")
     t = ds._time_order
-    x = ds.x[t.order][:, ds.meta.continuous_columns()]
+    x = t.x[:, ds.meta.continuous_columns()]
     # before[k]: event-time positions before sorted position k.
     before = np.zeros(ds.n + 1)
     before[t.event_last + 1] = 1.0

@@ -24,18 +24,18 @@ over the subjects in the dataset's time order; its score and information
 need no per-subject outer products.  The iteration starts from the fit that
 ignores the cured fraction altogether.
 
-The passes work on what the weights change and nothing else.  What a
-dataset fixes is built once, with its time order: the latency covariates
-and event indicator in that order, each subject's event-time index, the
-plateau mask and the sum of z over the events; with the incidence held
-fixed, phi is formed once per fit.  Within a pass Lambda(Y) is a gather
-from the cumulative hazard, e^{beta'z} is formed once for both the Breslow
-update and the next weights, and the weights stay in time order.  Each
-state is a :class:`LatencyFit`, the last one the fit itself; its step
-function and subject-order weights are formed only when read.
-:func:`compute_weights`, :func:`weighted_partial_fit` and
-:func:`breslow_update` take subject order and wrap the same formulas, so
-they agree with the passes bit for bit.
+The passes work on what the weights change and nothing else, and read the
+dataset only through its time order.  What a dataset fixes is built once,
+with that order: both covariate blocks and the event indicator in that
+order, each subject's event-time index, the plateau mask and the sum of z
+over the events; with the incidence held fixed, phi is formed once per fit.
+Within a pass Lambda(Y) is a gather from the cumulative hazard, e^{beta'z}
+is formed once for both the Breslow update and the next weights, and the
+weights stay in time order.  Each state is a :class:`LatencyFit`, the last
+one the fit itself; its step function, subject-order weights and observed
+log-likelihood are formed only when read.  :func:`compute_weights`,
+:func:`weighted_partial_fit` and :func:`breslow_update` take subject order
+and wrap the same formulas, so they agree with the passes bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .data import SurvivalDataset, _readonly, _TimeOrder
 from .errors import NumericalError, SingularHessianError
-from .incidence import expit
+from .incidence import _log_phi_pair, expit
 from .newton import NewtonResult, damped_newton
 
 __all__ = [
@@ -117,6 +117,24 @@ def _log_survival(cumhaz: np.ndarray, risk: np.ndarray, beyond: np.ndarray) -> n
     """log S_u(Y) = -Lambda(Y) e^{beta'z} from Lambda(Y) and e^{beta'z}, and
     -inf where Y lies beyond the last jump time of Lambda (the zero-tail rule)."""
     return np.where(beyond, -np.inf, -(cumhaz * risk))
+
+
+def _loglik(
+    x: np.ndarray, z: np.ndarray, event: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+    cumhaz: np.ndarray, jumps: np.ndarray, beyond: np.ndarray,
+) -> float:
+    """:func:`smoothcure.mle_baseline.observed_loglik` from the covariate rows
+    and event flags, Lambda(Y) per row, Lambda's jump at each event's time
+    and the zero-tail flags, in any one order of the subjects.  A jump that
+    is not positive gives -inf."""
+    if np.any(jumps <= 0.0):
+        return float("-inf")
+    log_phi, log_1m = _log_phi_pair(x @ np.asarray(gamma, dtype=float))
+    eta = z @ np.asarray(beta, dtype=float)
+    log_s_u = _log_survival(cumhaz, np.exp(eta), beyond)
+    event_terms = log_phi[event] + np.log(jumps) + eta[event] + log_s_u[event]
+    censored_terms = np.logaddexp(log_1m[~event], log_phi[~event] + log_s_u[~event])
+    return float((np.sum(event_terms) + np.sum(censored_terms)) / event.size)
 
 
 def _log_susceptible_survival(
@@ -287,8 +305,8 @@ class LatencyFit:
 
     ``cumhaz`` is the baseline cumulative hazard at the dataset's event
     times and ``sorted_weights`` the expected susceptibility weights of the
-    state in the time order ``t``; ``Lambda`` and ``weights`` (subject
-    order) are formed from them on first use.
+    state in the time order ``t``; ``Lambda``, ``weights`` (subject order)
+    and ``loglik`` are formed from them on first use.
     """
 
     gamma: np.ndarray
@@ -308,6 +326,16 @@ class LatencyFit:
         weights = np.empty_like(self.sorted_weights)
         weights[self.t.order] = self.sorted_weights
         return weights
+
+    @cached_property
+    def loglik(self) -> float:
+        """The state's observed-data log-likelihood, in the time order: its
+        Lambda(Y) is a gather from ``cumhaz`` and an event's jump a
+        difference of neighbors, with no step function built."""
+        t = self.t
+        jumps = np.diff(self.cumhaz, prepend=0.0)[t.hazard_index[t.event] - 1]
+        cumhaz = _at_own_times(t, self.cumhaz)
+        return _loglik(t.x, t.z, t.event, self.gamma, self.beta, cumhaz, jumps, t.plateau)
 
 
 def em_iterates(
@@ -330,17 +358,17 @@ def em_iterates(
     convergence when the inner maximizations themselves succeeded: a failed
     M-step that cannot move is no fixed point.
 
-    The passes run in the dataset's time order (see the module docstring);
+    The passes run in the dataset's time order (see the module docstring):
+    the linear predictors are formed from the covariates in that order, and
     the weights and Lambda take subject order and step-function form only
-    where a state's ``weights`` or ``Lambda`` is read.
+    where a state's ``weights`` or ``Lambda`` is read.  A state's observed
+    log-likelihood is its ``loglik``.
     """
     t = ds._time_order
     beta = _partial_fit(ds, np.ones(ds.n), None).x
-    # The linear predictors are formed in subject order, as the public
-    # formulas form them, so that both agree bit for bit.
-    risk = np.exp(ds.z @ beta)[t.order]
+    risk = np.exp(t.z @ beta)
     cumhaz = _breslow_cumhaz(t, risk)
-    phi = expit(ds.x @ gamma)[t.order]
+    phi = expit(t.x @ gamma)
     iterations, settled, converged = 0, False, False
     while True:
         w = _susceptibility(phi, _log_survival(_at_own_times(t, cumhaz), risk, t.plateau), t.event)
@@ -353,9 +381,9 @@ def em_iterates(
             new_gamma, incidence_converged = gamma, True
         else:
             new_gamma, incidence_converged = incidence_step(state.weights, gamma)
-            phi = expit(ds.x @ new_gamma)[t.order]
+            phi = expit(t.x @ new_gamma)
         pf = _partial_fit(ds, w, beta)
-        risk = np.exp(ds.z @ pf.x)[t.order]
+        risk = np.exp(t.z @ pf.x)
         new_cumhaz = _breslow_cumhaz(t, w * risk)
         steps = [new_gamma - gamma, pf.x - beta, new_cumhaz - cumhaz]
         change = np.max(np.abs(np.concatenate(steps)))

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SurvivalDataset
-from .incidence import _log_phi_pair, _newton_incidence, fit_incidence
-from .latency_cox import EM_MAX_ITER, EM_TOL, LatencyFit, StepFunction, em_iterates
-from .latency_cox import _log_survival
+from .incidence import _newton_incidence, fit_incidence
+from .latency_cox import EM_MAX_ITER, EM_TOL, LatencyFit, StepFunction, _loglik, em_iterates
 from .newton import NewtonResult
 
 __all__ = ["CureModelFit", "fit_mle_em", "observed_loglik"]
@@ -61,57 +60,25 @@ def observed_loglik(
     censored term with zero mass) yields a -inf sentinel rather than an
     exception.
     """
-    jumps = Lambda.jump_at(ds.y[ds.delta == 1])
-    if np.any(jumps <= 0.0):
-        return float("-inf")
-    return _loglik(ds, gamma, beta, Lambda(ds.y), jumps, ds.y > Lambda.times[-1])
-
-
-def _loglik(
-    ds: SurvivalDataset,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    cumhaz: np.ndarray,
-    jumps: np.ndarray,
-    beyond: np.ndarray,
-) -> float:
-    """:func:`observed_loglik` from Lambda(Y) per subject, Lambda's (positive)
-    jump at each event's time and the zero-tail flags, in subject order."""
     events = ds.delta == 1
-    log_phi, log_1m = _log_phi_pair(ds.x @ np.asarray(gamma, dtype=float))
-    eta = ds.z @ np.asarray(beta, dtype=float)
-    log_s_u = _log_survival(cumhaz, np.exp(eta), beyond)
-    event_terms = log_phi[events] + np.log(jumps) + eta[events] + log_s_u[events]
-    censored_terms = np.logaddexp(log_1m[~events], log_phi[~events] + log_s_u[~events])
-    return float((np.sum(event_terms) + np.sum(censored_terms)) / ds.n)
-
-
-def _state_loglik(ds: SurvivalDataset, state: LatencyFit) -> float:
-    """:func:`observed_loglik` of an EM state, read off its cumulative hazard
-    at the event times with no step function built: Lambda(Y) is a gather,
-    an event's jump a difference of neighbors.  Same terms, same order."""
-    t = ds._time_order
-    index = np.empty(ds.n, dtype=int)
-    index[t.order] = t.hazard_index
-    padded = np.concatenate(([0.0], state.cumhaz))
-    jumps = np.diff(padded)[index[ds.delta == 1] - 1]
-    if np.any(jumps <= 0.0):
-        return float("-inf")
-    return _loglik(ds, state.gamma, state.beta, padded[index], jumps, ds.y > t.event_times[-1])
+    # A Lambda with no jump times has no jump at an event either: -inf.
+    beyond = ds.y > np.max(Lambda.times, initial=-np.inf)
+    return _loglik(ds.x, ds.z, events, gamma, beta, Lambda(ds.y), Lambda.jump_at(ds.y[events]), beyond)
 
 
 def fit_mle_em(ds: SurvivalDataset, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> CureModelFit:
     """Joint EM fit of incidence, latency and baseline hazard.
 
-    Starts from a logistic fit that labels plateau-censored subjects cured
-    and everyone else susceptible, plus the no-cure partial-likelihood and
-    Breslow fits, and runs :func:`smoothcure.latency_cox.em_iterates` with
-    the incidence refitted by :func:`fit_incidence` on every pass.  Stops
-    when the largest parameter change (coefficients in max-norm, hazard
-    across jump times) drops below ``tol``; hitting ``max_iter`` returns
-    ``converged=False`` with the estimates reached.  The per-iteration
-    observed log-likelihood trace is attached for audit; it is
-    nondecreasing by the EM construction.
+    Starts from a logistic fit (:func:`fit_incidence`) that labels
+    plateau-censored subjects cured and everyone else susceptible, plus the
+    no-cure partial-likelihood and Breslow fits, and runs
+    :func:`smoothcure.latency_cox.em_iterates` with the incidence refitted
+    on every pass by the same Newton without the start fit's input checks.
+    Stops when the largest parameter change (coefficients in max-norm,
+    hazard across jump times) drops below ``tol``; hitting ``max_iter``
+    returns ``converged=False`` with the estimates reached.  Each state's
+    ``loglik`` is attached as the trace for audit; it is nondecreasing by
+    the EM construction.
     """
     plateau = (ds.delta == 0) & (ds.y > ds._time_order.event_times[-1])
     labels = np.where(plateau, 0.0, 1.0)
@@ -124,7 +91,7 @@ def fit_mle_em(ds: SurvivalDataset, tol: float = EM_TOL, max_iter: int = EM_MAX_
 
     path = []
     for state in em_iterates(ds, gamma, refit_incidence, tol, max_iter):
-        path.append(_state_loglik(ds, state))
+        path.append(state.loglik)
     return CureModelFit(
         gamma=state.gamma,
         beta=state.beta,

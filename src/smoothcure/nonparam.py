@@ -40,4 +40,4 @@ def plateau_fraction(ds: SurvivalDataset) -> float:
     Kaplan-Meier curve and are the observations the zero-tail constraint
     assigns to the cured group.
     """
-    return float(np.mean(ds.y > ds._time_order.event_times[-1]))
+    return float(np.mean(ds._time_order.plateau))

@@ -11,7 +11,7 @@ from .errors import ConfigurationError
 from .incidence import fit_incidence
 from .kernels import Bandwidth, cv_bandwidth
 from .latency_cox import EM_MAX_ITER, EM_TOL, fit_latency
-from .mle_baseline import CureModelFit, fit_mle_em, observed_loglik
+from .mle_baseline import CureModelFit, fit_mle_em
 from .presmoother import presmooth_all
 
 __all__ = ["METHODS", "fit_cure_model", "fit_presmoothing", "fit_mle_em"]
@@ -34,7 +34,8 @@ def fit_presmoothing(
     coefficients maximize the soft-label likelihood.  The latency is then
     fitted with those coefficients held fixed, by the latency EM that :func:`fit_mle_em` also
     runs, under the same stop rule ``tol``/``max_iter``.  Reported incidence
-    coefficients are mapped back to the original covariate scale.
+    coefficients are mapped back to the original covariate scale; the
+    log-likelihood is the EM's final state's, which standardizing leaves as is.
     """
     if ds.meta.n_continuous > 0:
         ds_std = standardize_continuous(ds)
@@ -52,7 +53,7 @@ def fit_presmoothing(
         gamma=gamma,
         beta=lat.beta,
         Lambda=lat.Lambda,
-        loglik=observed_loglik(ds, gamma, lat.beta, lat.Lambda),
+        loglik=lat.loglik,
         iterations=lat.iterations,
         converged=inc.converged and lat.converged,
         method="presmooth",

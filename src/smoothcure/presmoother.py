@@ -18,14 +18,13 @@ from .kernels import Bandwidth, _block_rows, _check_bandwidth, _continuous_weigh
 __all__ = ["estimate_cure_prob", "presmooth_all"]
 
 
-def _cure_probs(ds: SurvivalDataset, x_query: np.ndarray, cell_of: np.ndarray, b: Bandwidth) -> np.ndarray:
-    """Cure-probability estimates at the query rows, row i from the subjects
-    of cell ``cell_of[i]`` only (see :func:`estimate_cure_prob`)."""
+def _cure_probs(ds: SurvivalDataset, x_query: np.ndarray, queries: list[np.ndarray], b: Bandwidth) -> np.ndarray:
+    """Cure-probability estimates at the query rows, rows ``queries[k]`` from
+    the subjects of cell k only (see :func:`estimate_cure_prob`)."""
     cells = ds._cells
     cont = ds.meta.continuous_columns()
     x_cont = x_query[:, cont]
-    order = ds._time_order.order
-    queries = [np.flatnonzero(cell_of == k) for k in range(len(cells.positions))]
+    t = ds._time_order
     steps = [_block_rows(p.size) for p in cells.positions]
     # One set of block buffers for the call, sized for the largest block.
     size = max(min(step, q.size) * p.size for step, q, p in zip(steps, queries, cells.positions))
@@ -33,8 +32,8 @@ def _cure_probs(ds: SurvivalDataset, x_query: np.ndarray, cell_of: np.ndarray, b
     k_work = np.empty(size) if cont.size > 1 else None
     out = np.empty(x_query.shape[0])
     for positions, cell_queries, step in zip(cells.positions, queries, steps):
-        data = order[positions[::-1]]
-        x_data, event_col = ds.x[data][:, cont], ds.delta[data] == 1
+        data = positions[::-1]
+        x_data, event_col = t.x[data][:, cont], t.event[data]
         for lo in range(0, cell_queries.size, step):
             rows = cell_queries[lo : lo + step]
             shape, m = (rows.size, data.size), rows.size * data.size
@@ -72,7 +71,8 @@ def estimate_cure_prob(ds: SurvivalDataset, x_query: np.ndarray, b: Bandwidth) -
     cell_of = ds._cells.of(x_query[:, ds.meta.discrete_columns()])
     if np.any(cell_of < 0):
         raise EmptyNeighborhoodError("no subject shares the discrete covariates of a query point")
-    return _cure_probs(ds, x_query, cell_of, b)
+    queries = [np.flatnonzero(cell_of == k) for k in range(len(ds._cells.positions))]
+    return _cure_probs(ds, x_query, queries, b)
 
 
 def presmooth_all(ds: SurvivalDataset, b: Bandwidth) -> np.ndarray:
@@ -86,7 +86,5 @@ def presmooth_all(ds: SurvivalDataset, b: Bandwidth) -> np.ndarray:
     event times, and O(n) memory beyond a few fixed-size blocks.
     """
     _check_bandwidth(b, ds.meta)
-    cell_of = np.empty(ds.n, dtype=int)
-    for k, positions in enumerate(ds._cells.positions):
-        cell_of[ds._time_order.order[positions]] = k
-    return _cure_probs(ds, ds.x, cell_of, b)
+    order = ds._time_order.order
+    return _cure_probs(ds, ds.x, [order[p] for p in ds._cells.positions], b)

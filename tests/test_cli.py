@@ -4,7 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from smoothcure import make_scenario, write_csv
+from smoothcure import (
+    CsvSchema,
+    CureModelError,
+    cli,
+    fit_cure_model,
+    load_csv,
+    make_scenario,
+    prediction_error,
+    write_csv,
+)
 from smoothcure.cli import main
 from smoothcure.simulate import generate
 
@@ -141,6 +150,21 @@ class TestSimulate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("flags,n", [([], make_scenario("demo/convergence").n), (["--n", "60"], 60)])
+    def test_sample_size_defaults_to_the_scenario(self, monkeypatch, tmp_path, flags, n):
+        # Without --n a study runs at the scenario's own sample size.
+        seen = []
+
+        def run_study(scenario, *args, **kwargs):
+            seen.append(scenario.n)
+            raise CureModelError("stop before fitting")
+
+        monkeypatch.setattr(cli, "run_study", run_study)
+        code = main(["simulate", "--key", "demo/convergence", *flags, "--reps", "10",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1 and seen == [n]
+        assert make_scenario("demo/convergence").n != 200  # the old fixed default
+
     def test_unknown_key_exits_one(self, tmp_path):
         code = main(
             ["simulate", "--key", "m9/s9/c9", "--n", "50", "--reps", "10",
@@ -178,6 +202,9 @@ class TestPredict:
             assert 0.0 <= float(r["weight"]) <= 1.0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["prediction_error"] >= 0.0
+        schema = CsvSchema("time", "status", x_continuous=("x1",), z=("x1",))
+        fit = fit_cure_model(load_csv(data_csv, schema), "mle")
+        assert payload["prediction_error"] == prediction_error(fit, load_csv(test_csv, schema))
 
     def test_missing_train_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,8 @@ order is easy to get wrong: tie groups that mix events with censored
 subjects, heavy ties and duplicated rows.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from smoothcure import (
     fit_mle_em,
     fit_presmoothing,
     make_scenario,
+    observed_loglik,
     presmooth_all,
 )
 from smoothcure import latency_cox, mle_baseline
@@ -221,8 +224,9 @@ def recorded_states(monkeypatch, module):
 def test_em_states_match_subject_order_formulas(monkeypatch, name, ds, method):
     # The EM runs in the time order; every state it yields must give the
     # weights of compute_weights (Lambda(Y) through StepFunction.__call__)
-    # bit for bit, and a Lambda that is the Breslow update of the previous
-    # state's weights (all ones before the start) at the state's beta.
+    # bit for bit, a Lambda that is the Breslow update of the previous
+    # state's weights (all ones before the start) at the state's beta, and
+    # the log-likelihood of observed_loglik up to the order of summation.
     if method == "fixed-gamma":
         states = recorded_states(monkeypatch, latency_cox)
         latency = fit_latency(ds, np.array([0.4, -0.6]))
@@ -237,6 +241,7 @@ def test_em_states_match_subject_order_formulas(monkeypatch, name, ds, method):
         times, values = breslow_oracle(ds, previous, state.beta)
         assert np.array_equal(state.Lambda.times, times)
         np.testing.assert_allclose(state.Lambda.values, values, rtol=1e-12, atol=0.0)
+        assert abs(state.loglik - observed_loglik(ds, state.gamma, state.beta, state.Lambda)) <= 1e-13
         previous = weights
     # The fit is the EM's final state, and its weights are in subject order:
     # 1 at every event, 0 beyond the last event time and strictly between
@@ -256,6 +261,38 @@ def test_time_order_is_cached_and_read_only():
     with pytest.raises(ValueError):
         t.order[0] = 1
     assert ds.take(np.arange(ds.n))._time_order is not t
+
+
+@pytest.mark.parametrize("name,ds", CASES, ids=IDS)
+def test_covariates_in_time_order(name, ds):
+    t = ds._time_order
+    assert np.array_equal(t.x, ds.x[t.order]) and np.array_equal(t.z, ds.z[t.order])
+    for block in (t.x, t.z):
+        with pytest.raises(ValueError):
+            block[0, 0] = 2.0
+
+
+def test_presmoothing_loglik_is_the_raw_datasets():
+    # The fit reports its final state's log-likelihood, which reads the
+    # standardized covariates; observed_loglik reads the raw ones with the
+    # incidence mapped back.
+    for key in ("m1/s1/c1", "m4/s2/c1"):
+        ds = generate(make_scenario(key, n=150), seed=11)
+        fit = fit_presmoothing(ds)
+        assert fit.loglik == fit.latency.loglik
+        expected = observed_loglik(ds, fit.gamma, fit.beta, fit.Lambda)
+        assert fit.loglik == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_state_with_a_zero_jump_has_no_likelihood():
+    ds = EM_CASES[0][1]
+    state = fit_latency(ds, np.array([0.4, -0.6]))
+    assert np.isfinite(state.loglik)
+    cumhaz = np.array(state.cumhaz)
+    cumhaz[1] = cumhaz[0]
+    flat = replace(state, cumhaz=cumhaz)
+    assert flat.loglik == -np.inf
+    assert observed_loglik(ds, flat.gamma, flat.beta, flat.Lambda) == -np.inf
 
 
 def test_presmoothing_fit_sorts_once(monkeypatch):
