@@ -11,7 +11,6 @@ never imputed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ from .incidence import expit
 from .latency_cox import compute_weights
 from .mle_baseline import CureModelFit
 from .pipeline import fit_cure_model
-from .simulate import DEFAULT_SEED
+from .simulate import DEFAULT_SEED, _fan_out, _rng
 
 __all__ = [
     "BootstrapResult",
@@ -62,9 +61,7 @@ def wald_test(estimate: float, se: float) -> float:
 
 def resample_indices(seed: int, replicate: int, n: int) -> np.ndarray:
     """Replayable with-replacement row indices for one bootstrap replicate."""
-    seq = np.random.SeedSequence(seed, spawn_key=(replicate,))
-    rng = np.random.Generator(np.random.Philox(seq))
-    return rng.integers(0, n, size=n)
+    return _rng(seed, replicate).integers(0, n, size=n)
 
 
 def _bootstrap_replicate(args):
@@ -101,11 +98,7 @@ def bootstrap_se(
     point = np.concatenate([full.gamma, full.beta])
 
     tasks = [(ds, method, fit_options, seed, r) for r in range(B)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_bootstrap_replicate, tasks, chunksize=4))
-    else:
-        results = [_bootstrap_replicate(t) for t in tasks]
+    results = _fan_out(_bootstrap_replicate, tasks, n_jobs)
     rows = [row for row in results if row is not None]
     failures = sum(row is None for row in results)
     if not rows:

@@ -179,11 +179,12 @@ def _event_riskset_sums(t: _TimeOrder, values: np.ndarray) -> np.ndarray:
 
 def _riskset_mass(t: _TimeOrder, r: np.ndarray) -> np.ndarray:
     """:func:`_event_riskset_sums` of the risk weights ``r``, all positive or
-    a :class:`NumericalError` that names the first event time with none."""
+    a :class:`NumericalError` that names the first event time where one is
+    zero or not a number (an overflowed e^{beta'z} times a zero weight)."""
     s0 = _event_riskset_sums(t, r)
-    if np.any(s0 <= 0.0):
-        t_bad = t.event_times[np.flatnonzero(s0 <= 0.0)[0]]
-        raise NumericalError(f"zero weighted risk-set mass at event time {t_bad}")
+    if not np.all(s0 > 0.0):
+        k = np.flatnonzero(~(s0 > 0.0))[0]
+        raise NumericalError(f"weighted risk-set mass {s0[k]} at event time {t.event_times[k]}")
     return s0
 
 
@@ -280,7 +281,7 @@ def _breslow_cumhaz(t: _TimeOrder, r: np.ndarray) -> np.ndarray:
     cumhaz = np.cumsum(t.event_counts / _riskset_mass(t, r))
     # The jumps are positive, so finite values are a valid step function.
     if not np.all(np.isfinite(cumhaz)):
-        raise ValueError("step function times and values must be finite")
+        raise NumericalError("baseline cumulative hazard is not finite")
     # Read-only, so the StepFunction of a state's Lambda shares it, no copy.
     cumhaz.setflags(write=False)
     return cumhaz

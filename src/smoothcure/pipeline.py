@@ -29,22 +29,18 @@ def fit_presmoothing(
     """Two-step fit: presmoothed incidence first, latency second.
 
     Continuous incidence covariates are standardized, the bandwidth is
-    cross-validated over ``grid`` and capped at 2 (unless supplied), cure
-    probabilities are presmoothed at every sample point and the incidence
-    coefficients maximize the soft-label likelihood.  The latency is then
+    cross-validated over ``grid`` and capped at 2 (unless supplied; empty
+    when no covariate is continuous), cure probabilities are presmoothed at
+    every sample point and the incidence coefficients maximize the
+    soft-label likelihood.  The latency is then
     fitted with those coefficients held fixed, by the latency EM that :func:`fit_mle_em` also
     runs, under the same stop rule ``tol``/``max_iter``.  Reported incidence
     coefficients are mapped back to the original covariate scale; the
     log-likelihood is the EM's final state's, which standardizing leaves as is.
     """
-    if ds.meta.n_continuous > 0:
-        ds_std = standardize_continuous(ds)
-        if bandwidth is None:
-            bandwidth = cv_bandwidth(ds_std, grid=grid)
-    else:
-        ds_std = ds
-        if bandwidth is None:
-            bandwidth = Bandwidth(np.empty(0))
+    ds_std = standardize_continuous(ds)
+    if bandwidth is None:
+        bandwidth = cv_bandwidth(ds_std, grid=grid) if ds.meta.n_continuous else Bandwidth(np.empty(0))
     pihat = presmooth_all(ds_std, bandwidth)
     inc = fit_incidence(pihat, ds_std.x)
     lat = fit_latency(ds_std, inc.x, tol=tol, max_iter=max_iter)

@@ -11,7 +11,8 @@ combination of cure-rate scenario and censoring level, keyed as
 
 Random draws are organized as counter-based streams keyed by (seed,
 replication, purpose), so covariate, cure-status, latency and censoring
-draws never interleave and replications can run in any order or process.
+draws never interleave and replications can run in any order or process;
+bootstrap resamples draw from the same stream constructor.
 """
 
 from __future__ import annotations
@@ -61,8 +62,10 @@ class SimulationScenario:
     """One generator configuration: covariate recipe, truth and censoring.
 
     The latency is Weibull proportional hazards with shape :data:`RHO` and
-    scale :data:`MU`; Weibull proportional-hazards censoring (``nu``) shares
-    that shape and has slope :data:`BETA_C` on the first covariate.
+    scale :data:`MU`.  Exactly one censoring rate is set, and it names the
+    family: ``lam_c`` is exponential censoring at that rate, and ``nu`` is
+    Weibull proportional-hazards censoring that shares the latency's shape
+    and has slope :data:`BETA_C` on the first covariate.
     """
 
     model: str
@@ -70,7 +73,6 @@ class SimulationScenario:
     beta: tuple[float, ...]
     tau0: float
     tau: float
-    censoring: str = "exponential"
     lam_c: float | None = None
     nu: float | None = None
     n: int = 200
@@ -83,21 +85,31 @@ class SimulationScenario:
             raise ConfigurationError(f"unknown model id {self.model!r}")
         if not (self.tau0 < self.tau):
             raise ConfigurationError("tau0 must be strictly below tau")
-        if self.censoring == "exponential":
-            if not (self.lam_c and self.lam_c > 0):
-                raise ConfigurationError("exponential censoring needs a positive rate")
-        elif self.censoring == "weibull-ph":
-            if not (self.nu and self.nu > 0):
-                raise ConfigurationError("weibull-ph censoring needs a positive nu")
-        else:
-            raise ConfigurationError(f"unknown censoring family {self.censoring!r}")
+        rates = [rate for rate in (self.lam_c, self.nu) if rate is not None]
+        if len(rates) != 1 or not rates[0] > 0:
+            raise ConfigurationError(
+                "set exactly one positive censoring rate: lam_c (exponential) or nu (Weibull PH)"
+            )
         if self.n < 2:
             raise ConfigurationError("sample size must be at least 2")
 
 
-def _rng(seed: int, replication: int, purpose: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(seed, spawn_key=(replication, purpose))
-    return np.random.Generator(np.random.Philox(seq))
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """The counter-based stream of ``seed`` under ``key``: (replication,
+    purpose) for a generated dataset, (replicate,) for a bootstrap resample."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def _fan_out(replicate, tasks: list, n_jobs: int) -> list:
+    """``replicate`` mapped over ``tasks``, results in task order: in this
+    process when ``n_jobs <= 1``, otherwise over ``n_jobs`` worker processes
+    that each take about 32 chunks of tasks: a worker's idle tail is then
+    about a chunk, and dispatching a chunk costs little next to its refits."""
+    if n_jobs <= 1:
+        return [replicate(task) for task in tasks]
+    chunksize = -(-len(tasks) // (32 * n_jobs))
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        return list(pool.map(replicate, tasks, chunksize=chunksize))
 
 
 def truncated_weibull_ph_sample(rho, mu, linpred, tau0, u, no_jump: bool = False):
@@ -145,15 +157,14 @@ def _draw_covariates(model: str, n: int, rng: np.random.Generator):
         x = np.column_stack([x1, x2, x3, x4])
         z = np.column_stack([x1, z2, x3])
         return x, z, (False, False, True, True), ("x1", "x2", "x3", "x4"), ("x1", "z2", "x3")
-    if model == "demo":
-        x1 = rng.normal(0.0, 2.0, n)
-        x2 = rng.uniform(-1.0, 1.0, n)
-        x3 = (rng.random(n) < 0.8).astype(float)
-        x4 = (rng.random(n) < 0.2).astype(float)
-        x = np.column_stack([x1, x2, x3, x4])
-        z = np.column_stack([x1, x3, x4])
-        return x, z, (False, False, True, True), ("x1", "x2", "x3", "x4"), ("x1", "x3", "x4")
-    raise ConfigurationError(f"unknown model id {model!r}")
+    # model == "demo": SimulationScenario accepts no other id.
+    x1 = rng.normal(0.0, 2.0, n)
+    x2 = rng.uniform(-1.0, 1.0, n)
+    x3 = (rng.random(n) < 0.8).astype(float)
+    x4 = (rng.random(n) < 0.2).astype(float)
+    x = np.column_stack([x1, x2, x3, x4])
+    z = np.column_stack([x1, x3, x4])
+    return x, z, (False, False, True, True), ("x1", "x2", "x3", "x4"), ("x1", "x3", "x4")
 
 
 def generate(scenario: SimulationScenario, seed: int, replication: int = 0) -> SurvivalDataset:
@@ -176,7 +187,7 @@ def generate(scenario: SimulationScenario, seed: int, replication: int = 0) -> S
     t = np.where(uncured, t0, np.inf)
 
     u_cens = _rng(seed, replication, _CENSORING).random(n)
-    if scenario.censoring == "exponential":
+    if scenario.lam_c is not None:
         c_raw = -np.log1p(-u_cens) / scenario.lam_c
     else:
         cens_scale = scenario.nu * MU * np.exp(BETA_C * x_raw[:, 0])
@@ -189,7 +200,7 @@ def generate(scenario: SimulationScenario, seed: int, replication: int = 0) -> S
     return SurvivalDataset(y, delta, x, z, meta, z_names=z_names)
 
 
-def _level_rows(gammas, betas, taus, cens_values, rates, family="exponential"):
+def _level_rows(gammas, betas, taus, cens_values, rates, rate_name="lam_c"):
     rows = {}
     for s, (gamma, beta, (tau0, tau)) in enumerate(zip(gammas, betas, taus), start=1):
         for c, (value, (cens, plat)) in enumerate(zip(cens_values[s - 1], rates[s - 1]), start=1):
@@ -198,10 +209,9 @@ def _level_rows(gammas, betas, taus, cens_values, rates, family="exponential"):
                 beta=beta,
                 tau0=tau0,
                 tau=tau,
-                censoring=family,
                 target_censoring=cens,
                 target_plateau=plat,
-                **({"lam_c": value} if family == "exponential" else {"nu": value}),
+                **{rate_name: value},
             )
     return rows
 
@@ -231,7 +241,7 @@ def _build_registry() -> dict[str, SimulationScenario]:
             [(0.35, 0.14), (0.40, 0.09), (0.45, 0.06)],
             [(0.56, 0.38), (0.60, 0.30), (0.65, 0.25)],
         ],
-        family="weibull-ph",
+        rate_name="nu",
     )
     m3 = _level_rows(
         gammas=[(0.5, -1.0, 2.5, 1.2), (1.0, 2.0, 1.8, 0.5), (-0.8, 1.3, 1.5, -0.2)],
@@ -380,11 +390,7 @@ def run_study(
             raise ConfigurationError(f"unknown method {method!r}")
 
     tasks = [(scenario, seed, r, tuple(methods)) for r in range(reps)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_study_replicate, tasks, chunksize=8))
-    else:
-        results = [_study_replicate(t) for t in tasks]
+    results = _fan_out(_study_replicate, tasks, n_jobs)
 
     truth = np.concatenate([np.asarray(scenario.gamma), np.asarray(scenario.beta)])
 

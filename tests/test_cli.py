@@ -7,6 +7,7 @@ import pytest
 from smoothcure import (
     CsvSchema,
     CureModelError,
+    NumericalError,
     cli,
     fit_cure_model,
     load_csv,
@@ -120,6 +121,16 @@ class TestFit:
         )
         assert code == 1
         assert read_report(out)["estimates"][0]["converged"] is False
+
+    def test_numerical_error_is_a_json_error(self, data_csv, tmp_path, capsys, monkeypatch):
+        # A fit that fails numerically ends in one JSON line, not a traceback.
+        def fit_cure_model(ds, method, **options):
+            raise NumericalError("weighted risk-set mass nan at event time 1.0")
+
+        monkeypatch.setattr(cli, "fit_cure_model", fit_cure_model)
+        code = main(["fit", "--input", data_csv, *SCHEMA, "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "NumericalError"
 
 
 class TestSimulate:

@@ -21,6 +21,7 @@ from smoothcure import (
     resample_indices,
     wald_test,
 )
+from smoothcure.kernels import Bandwidth
 from smoothcure.pipeline import METHODS, fit_cure_model
 from smoothcure.simulate import generate
 
@@ -218,6 +219,9 @@ class TestBootstrap:
         b = resample_indices(11, 3, 50)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, resample_indices(11, 4, 50))
+        # The (seed, replicate) Philox stream itself: a change of key or
+        # generator would change every bootstrap result.
+        assert resample_indices(1729, 0, 10).tolist() == [5, 8, 5, 9, 8, 5, 4, 3, 0, 7]
 
     def test_repeat_run_bit_identical(self):
         ds = generate(make_scenario("m1/s1/c1", n=80), seed=6)
@@ -229,9 +233,11 @@ class TestBootstrap:
 
     def test_worker_count_independent(self):
         ds = generate(make_scenario("m1/s1/c1", n=60), seed=6)
-        serial = bootstrap_se(ds, method="mle", B=8, seed=2, n_jobs=1)
-        parallel = bootstrap_se(ds, method="mle", B=8, seed=2, n_jobs=2)
-        assert np.array_equal(serial.estimates, parallel.estimates)
+        for method, options in (("mle", {}), ("presmooth", {"bandwidth": Bandwidth(np.array([0.5]))})):
+            serial = bootstrap_se(ds, method=method, B=8, seed=2, n_jobs=1, **options)
+            parallel = bootstrap_se(ds, method=method, B=8, seed=2, n_jobs=2, **options)
+            assert np.array_equal(serial.estimates, parallel.estimates)
+            assert serial.failures == parallel.failures
 
     def test_replayable_rows(self):
         ds = generate(make_scenario("m1/s1/c1", n=60), seed=8)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from smoothcure import (
     NumericalError,
     SingularHessianError,
     StepFunction,
+    SurvivalDataset,
     breslow_update,
     compute_weights,
     fit_latency,
@@ -16,7 +18,8 @@ from smoothcure import (
     weighted_partial_fit,
 )
 
-from smoothcure.latency_cox import _partial_likelihood
+from smoothcure.latency_cox import _breslow_cumhaz, _partial_likelihood, _riskset_mass
+from smoothcure.pipeline import METHODS, fit_cure_model
 from smoothcure.simulate import generate
 
 from conftest import build_dataset, random_dataset
@@ -306,3 +309,43 @@ class TestProfileResidual:
         jumps[0] += 0.1
         bumped = StepFunction(lat.Lambda.times, np.cumsum(jumps))
         assert profile_residual(ds, gamma, lat.beta, bumped) > 0.01
+
+
+def location_shifted_draw(shift):
+    """Replication 2 of ``m1/s1/c1`` (n=200, seed 1729) and the same draw with
+    ``shift`` added to z, which leaves the Cox model unchanged in exact
+    arithmetic."""
+    ds = generate(make_scenario("m1/s1/c1", n=200), 1729, 2)
+    return ds, SurvivalDataset(ds.y, ds.delta, ds.x, ds.z + shift, ds.meta, z_names=ds.z_names)
+
+
+class TestLocationShiftedLatencyCovariate:
+    def test_not_a_number_mass_is_a_typed_error(self):
+        # An overflowed e^{beta'z} at a plateau subject, whose weight is 0,
+        # gives a NaN risk weight and so a NaN mass at every event time.
+        ds = generate(make_scenario("m1/s1/c1", n=200), 1729, 2)
+        t = ds._time_order
+        risk = np.ones(ds.n)
+        risk[np.flatnonzero(t.plateau)[0]] = np.inf
+        with np.errstate(invalid="ignore"):
+            r = np.where(t.plateau, 0.0, 1.0) * risk
+        with pytest.raises(NumericalError, match="mass nan"):
+            _riskset_mass(t, r)
+        with pytest.raises(NumericalError):
+            _breslow_cumhaz(t, r)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=(NumericalError, RuntimeWarning),
+        reason="the exponentials of the linear predictor are unshifted in em_iterates's risk, "
+        "breslow_update, _log_susceptible_survival and _loglik, so e^{beta'z} overflows at z + 720",
+    )
+    @pytest.mark.parametrize("method", METHODS)
+    def test_location_shift_leaves_the_fit(self, method):
+        ds, shifted = location_shifted_draw(720.0)
+        base = fit_cure_model(ds, method)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_cure_model(shifted, method)
+        assert (fit.converged, fit.latency.converged) == (base.converged, base.latency.converged)
+        assert np.allclose(fit.beta, base.beta, rtol=0.0, atol=1e-6)

@@ -8,6 +8,7 @@ import smoothcure.simulate as simulate
 from smoothcure import (
     ConfigurationError,
     SCENARIOS,
+    SimulationScenario,
     make_scenario,
     plateau_fraction,
     run_study,
@@ -41,6 +42,16 @@ class TestRegistry:
     def test_unknown_key(self):
         with pytest.raises(ConfigurationError):
             make_scenario("m9/s1/c1")
+
+    @pytest.mark.parametrize(
+        "rates",
+        [{"lam_c": 0.1, "nu": 0.5}, {}, {"lam_c": 0.0}, {"nu": -0.5}, {"lam_c": float("nan")}],
+    )
+    def test_exactly_one_positive_censoring_rate(self, rates):
+        # The rate that is set names the censoring family, so two rates, none
+        # or a rate that is not positive leave it undefined.
+        with pytest.raises(ConfigurationError):
+            SimulationScenario(model="1", gamma=(1.0, 1.0), beta=(1.0,), tau0=4.0, tau=6.0, **rates)
 
     def test_nojump_support(self):
         s = make_scenario("m3nj/s1/c2")
