@@ -2,7 +2,8 @@
 
 Structured results go to JSON, tabular artifacts to CSV.  Every output file
 embeds the tool version, a hash of the invocation configuration and the
-seed, so any artifact can be traced back to the exact command that made it.
+seed, so any artifact can be traced back to the exact command that made it;
+only simulate and bootstrap draw and take --seed, the others record the default.
 Exit codes: 0 success, 1 numerical or convergence failure, 2 usage error.
 """
 
@@ -93,7 +94,6 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bandwidth-grid", default=None, metavar="LO:HI:N")
     parser.add_argument("--latency-tol", type=float, default=EM_TOL)
     parser.add_argument("--latency-max-iter", type=int, default=EM_MAX_ITER)
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 
 def _fit_options(args: argparse.Namespace, method: str) -> dict:
@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--test", required=True)
     _add_schema_flags(p_pred)
     p_pred.add_argument("--method", choices=METHODS, default="presmooth")
-    p_pred.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_pred.add_argument(
         "--swap-pe-pairing",
         action="store_true",
@@ -305,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_km.add_argument("--input", required=True)
     _add_schema_flags(p_km)
     p_km.add_argument("--group", default=None, help="covariate column for per-group curves")
-    p_km.add_argument("--seed", type=int, default=DEFAULT_SEED, help=argparse.SUPPRESS)
     p_km.add_argument("--out", required=True)
     p_km.set_defaults(func=cmd_km)
     return parser

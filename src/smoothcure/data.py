@@ -324,12 +324,12 @@ def _parse_cell(raw: str, column: str, row: int) -> float:
 
 
 def load_csv(path, schema: CsvSchema) -> SurvivalDataset:
-    """Read a UTF-8, comma-separated file with a header row into a dataset.
+    """Read a UTF-8 comma-separated file, byte-order mark allowed, with a header row into a dataset.
 
     The intercept column is prepended to the incidence block; row order is
     preserved.  Data rows are numbered from 1 in error messages.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -402,7 +402,7 @@ def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
 def cv_bandwidth(ds: SurvivalDataset, grid: np.ndarray | None = None) -> Bandwidth:
     """Select the bandwidth by leave-one-out cross-validation.
 
-    ``grid`` is a one-dimensional set of candidate values shared by every
+    ``grid`` is a 1-D set of positive, finite candidates shared by every
     continuous covariate, :func:`default_grid` if omitted; with several
     continuous covariates the full product grid is scanned.  Each selected
     entry is truncated from above at :data:`DEFAULT_CAP`, 2.
@@ -430,11 +430,13 @@ def cv_bandwidth(ds: SurvivalDataset, grid: np.ndarray | None = None) -> Bandwid
     """
     if not ds.meta.standardized:
         raise ConfigurationError("bandwidth selection expects standardized covariates")
-    table = _cv_table(ds)
     grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    grid = grid[np.isfinite(grid) & (grid > 0)]
+    if grid.ndim != 1:
+        raise ConfigurationError(f"bandwidth grid must be one-dimensional, got shape {grid.shape}")
     if grid.size == 0:
         raise ConfigurationError("bandwidth grid is empty")
+    Bandwidth(grid)  # every candidate positive and finite, or Bandwidth's error
+    table = _cv_table(ds)
 
     n_cont = ds.meta.n_continuous
     scores = _cv_scores(table, [grid] * n_cont)

@@ -137,14 +137,9 @@ def _loglik(
     return float((np.sum(event_terms) + np.sum(censored_terms)) / event.size)
 
 
-def _log_susceptible_survival(
-    ds: SurvivalDataset, beta: np.ndarray, Lambda: StepFunction
-) -> np.ndarray:
-    """log S_u(Y) per subject at its own time, in subject order."""
-    if Lambda.times.size == 0:
-        raise NumericalError("cumulative hazard has no jump times")
-    risk = np.exp(ds.z @ np.asarray(beta, dtype=float))
-    return _log_survival(Lambda(ds.y), risk, ds.y > Lambda.times[-1])
+def _at_subject_times(ds: SurvivalDataset, Lambda: StepFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda(Y) per subject and whether Y lies beyond Lambda's last jump time (every Y if none)."""
+    return Lambda(ds.y), ds.y > np.max(Lambda.times, initial=-np.inf)
 
 
 def _susceptibility(phi: np.ndarray, log_survival: np.ndarray, event: np.ndarray) -> np.ndarray:
@@ -162,8 +157,12 @@ def compute_weights(
     """Expected susceptibility per subject: 1 for events, and for a subject
     censored at Y the posterior phi S_u(Y) / (1 - phi + phi S_u(Y)), which is
     0 beyond the last jump time of Lambda."""
+    if Lambda.times.size == 0:
+        raise NumericalError("cumulative hazard has no jump times")
     phi = expit(ds.x @ np.asarray(gamma, dtype=float))
-    return _susceptibility(phi, _log_susceptible_survival(ds, beta, Lambda), ds.delta == 1)
+    cumhaz, beyond = _at_subject_times(ds, Lambda)
+    risk = np.exp(ds.z @ np.asarray(beta, dtype=float))
+    return _susceptibility(phi, _log_survival(cumhaz, risk, beyond), ds.delta == 1)
 
 
 def _event_riskset_sums(t: _TimeOrder, values: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import SurvivalDataset
 from .incidence import _newton_incidence, fit_incidence
-from .latency_cox import EM_MAX_ITER, EM_TOL, LatencyFit, StepFunction, _loglik, em_iterates
+from .latency_cox import EM_MAX_ITER, EM_TOL, LatencyFit, StepFunction, _at_subject_times, _loglik, em_iterates
 from .newton import NewtonResult
 
 __all__ = ["CureModelFit", "fit_mle_em", "observed_loglik"]
@@ -62,8 +62,8 @@ def observed_loglik(
     """
     events = ds.delta == 1
     # A Lambda with no jump times has no jump at an event either: -inf.
-    beyond = ds.y > np.max(Lambda.times, initial=-np.inf)
-    return _loglik(ds.x, ds.z, events, gamma, beta, Lambda(ds.y), Lambda.jump_at(ds.y[events]), beyond)
+    cumhaz, beyond = _at_subject_times(ds, Lambda)
+    return _loglik(ds.x, ds.z, events, gamma, beta, cumhaz, Lambda.jump_at(ds.y[events]), beyond)
 
 
 def fit_mle_em(ds: SurvivalDataset, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> CureModelFit:
@@ -80,9 +80,9 @@ def fit_mle_em(ds: SurvivalDataset, tol: float = EM_TOL, max_iter: int = EM_MAX_
     ``loglik`` is attached as the trace for audit; it is nondecreasing by
     the EM construction.
     """
-    plateau = (ds.delta == 0) & (ds.y > ds._time_order.event_times[-1])
-    labels = np.where(plateau, 0.0, 1.0)
-    gamma = fit_incidence(1.0 - labels, ds.x).x
+    cured = np.empty(ds.n)
+    cured[ds._time_order.order] = ds._time_order.plateau
+    gamma = fit_incidence(cured, ds.x).x
 
     def refit_incidence(weights, gamma):
         # The start fit above checked ds.x; the refits skip its rank check.

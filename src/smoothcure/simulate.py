@@ -200,10 +200,10 @@ def generate(scenario: SimulationScenario, seed: int, replication: int = 0) -> S
     return SurvivalDataset(y, delta, x, z, meta, z_names=z_names)
 
 
-def _level_rows(gammas, betas, taus, cens_values, rates, rate_name="lam_c"):
+def _level_rows(gammas, betas, taus, rates, targets, rate_name="lam_c"):
     rows = {}
     for s, (gamma, beta, (tau0, tau)) in enumerate(zip(gammas, betas, taus), start=1):
-        for c, (value, (cens, plat)) in enumerate(zip(cens_values[s - 1], rates[s - 1]), start=1):
+        for c, (rate, (cens, plat)) in enumerate(zip(rates[s - 1], targets[s - 1]), start=1):
             rows[(s, c)] = dict(
                 gamma=gamma,
                 beta=beta,
@@ -211,7 +211,7 @@ def _level_rows(gammas, betas, taus, cens_values, rates, rate_name="lam_c"):
                 tau=tau,
                 target_censoring=cens,
                 target_plateau=plat,
-                **{rate_name: value},
+                **{rate_name: rate},
             )
     return rows
 
@@ -223,8 +223,8 @@ def _build_registry() -> dict[str, SimulationScenario]:
         gammas=[(1.75, 2.0), (1.0, 1.5), (0.1, 5.0)],
         betas=[(1.0,)] * 3,
         taus=[(4.0, 6.0)] * 3,
-        cens_values=[(0.1, 0.2, 0.3), (0.1, 0.25, 0.4), (0.2, 0.4, 0.7)],
-        rates=[
+        rates=[(0.1, 0.2, 0.3), (0.1, 0.25, 0.4), (0.2, 0.4, 0.7)],
+        targets=[
             [(0.25, 0.15), (0.30, 0.11), (0.35, 0.09)],
             [(0.34, 0.22), (0.40, 0.15), (0.46, 0.10)],
             [(0.54, 0.32), (0.59, 0.23), (0.65, 0.15)],
@@ -235,8 +235,8 @@ def _build_registry() -> dict[str, SimulationScenario]:
         betas=[(1.0,)] * 3,
         taus=[(10.0, 15.0)] * 3,
         # s2/c2: 1/6, not 1/10, meets both tabulated columns; whether the source printed 1/10 is unknown.
-        cens_values=[(1 / 15, 1 / 7, 1 / 4), (1 / 13, 1 / 6, 5 / 18), (1 / 9, 1 / 4, 2 / 5)],
-        rates=[
+        rates=[(1 / 15, 1 / 7, 1 / 4), (1 / 13, 1 / 6, 5 / 18), (1 / 9, 1 / 4, 2 / 5)],
+        targets=[
             [(0.25, 0.07), (0.30, 0.04), (0.35, 0.02)],
             [(0.35, 0.14), (0.40, 0.09), (0.45, 0.06)],
             [(0.56, 0.38), (0.60, 0.30), (0.65, 0.25)],
@@ -247,8 +247,8 @@ def _build_registry() -> dict[str, SimulationScenario]:
         gammas=[(0.5, -1.0, 2.5, 1.2), (1.0, 2.0, 1.8, 0.5), (-0.8, 1.3, 1.5, -0.2)],
         betas=[(-1.0, 0.5, 1.5), (1.0, 0.5, 2.0), (1.0, -0.1, 0.8)],
         taus=[(30.0, 35.0), (6.0, 8.0), (5.0, 7.0)],
-        cens_values=[(0.12, 0.25, 0.45), (0.2, 0.5, 0.8), (0.3, 0.7, 1.3)],
-        rates=[
+        rates=[(0.12, 0.25, 0.45), (0.2, 0.5, 0.8), (0.3, 0.7, 1.3)],
+        targets=[
             [(0.25, 0.10), (0.30, 0.06), (0.35, 0.04)],
             [(0.35, 0.16), (0.40, 0.09), (0.45, 0.06)],
             [(0.55, 0.24), (0.59, 0.14), (0.65, 0.08)],
@@ -262,8 +262,8 @@ def _build_registry() -> dict[str, SimulationScenario]:
         ],
         betas=[(-0.8, 0.3, 0.5), (1.0, 0.5, 2.0), (0.4, -0.1, 0.5)],
         taus=[(14.0, 16.0), (18.0, 20.0), (6.0, 8.0)],
-        cens_values=[(0.1, 0.22, 0.35), (0.15, 0.35, 0.6), (0.2, 0.4, 0.7)],
-        rates=[
+        rates=[(0.1, 0.22, 0.35), (0.15, 0.35, 0.6), (0.2, 0.4, 0.7)],
+        targets=[
             [(0.25, 0.11), (0.30, 0.07), (0.35, 0.05)],
             [(0.35, 0.11), (0.40, 0.07), (0.45, 0.05)],
             [(0.55, 0.30), (0.59, 0.20), (0.65, 0.12)],

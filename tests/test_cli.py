@@ -16,7 +16,7 @@ from smoothcure import (
     write_csv,
 )
 from smoothcure.cli import main
-from smoothcure.simulate import generate
+from smoothcure.simulate import DEFAULT_SEED, generate
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +35,13 @@ def read_report(path):
         return json.load(fh)
 
 
-def read_artifact_csv(path):
+def read_artifact_csv(path, seed=DEFAULT_SEED):
+    # Commands without --seed record the default.
     with open(path, encoding="utf-8") as fh:
         first = fh.readline()
         assert first.startswith("# ")
-        assert "version=" in first and "config_hash=" in first and "seed=" in first
+        assert "version=" in first and "config_hash=" in first
+        assert f"seed={seed}" in first.rstrip("\n").split(", ")
         return list(csv.DictReader(fh))
 
 
@@ -55,6 +57,7 @@ class TestFit:
         assert code == 0
         report = read_report(out)
         assert {"version", "config_hash", "seed", "estimates"} <= set(report)
+        assert report["seed"] == DEFAULT_SEED
         block = report["estimates"][0]
         assert block["method"] == "presmooth"
         assert block["converged"] is True
@@ -141,7 +144,7 @@ class TestSimulate:
              "--n", "50", "--reps", "10", "--seed", "5", "--methods", "mle", "--out", str(out)]
         )
         assert code == 0
-        rows = read_artifact_csv(out)
+        rows = read_artifact_csv(out, seed=5)
         assert {r["parameter"] for r in rows} == {"gamma_intercept", "gamma_x1", "beta_x1"}
         truth = {r["parameter"]: float(r["truth"]) for r in rows}
         assert truth["gamma_intercept"] == 1.75 and truth["gamma_x1"] == 2.0
@@ -153,7 +156,7 @@ class TestSimulate:
              "--seed", "5", "--methods", "mle", "--out", str(out)]
         )
         assert code == 0
-        assert len(read_artifact_csv(out)) == 8 * 1  # 5 gamma + 3 beta, one method
+        assert len(read_artifact_csv(out, seed=5)) == 8 * 1  # 5 gamma + 3 beta, one method
         out2 = tmp_path / "nojump.csv"
         code = main(
             ["simulate", "--key", "m3nj/s1/c2", "--n", "60", "--reps", "10",
@@ -253,3 +256,14 @@ class TestKm:
             ["km", "--input", str(tmp_path / "missing.csv"), *SCHEMA, "--out", str(tmp_path / "o.csv")]
         )
         assert code == 2
+
+
+class TestSeedFlag:
+    """Only simulate and bootstrap draw random numbers, so only they take --seed."""
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "km"])
+    def test_rejected_where_nothing_is_drawn(self, command, data_csv, tmp_path):
+        inputs = ["--train", data_csv, "--test", data_csv] if command == "predict" else ["--input", data_csv]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, *SCHEMA, "--seed", "5", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2

@@ -34,6 +34,14 @@ class TestLoadCsv:
         assert np.array_equal(ds.x[:, 1], ds.z[:, 0])
         assert list(ds.y) == [1.0, 2.5, 0.5]
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Spreadsheet tools write UTF-8 with a leading byte-order mark.
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbftime,status,age\n1.0,1,50\n2.5,0,61\n")
+        ds = load_csv(path, CsvSchema(time="time", status="status", x_continuous=("age",)))
+        assert list(ds.y) == [1.0, 2.5]
+        assert list(ds.x[:, 1]) == [50.0, 61.0]
+
     def test_bad_status_names_row(self, tmp_path):
         rows = "\n".join(f"{i}.0,1,3" for i in range(1, 5))
         path = write_file(tmp_path, f"time,status,age\n{rows}\n9.0,2,4\n")

@@ -498,6 +498,22 @@ class TestCvBandwidth:
         with pytest.raises(ConfigurationError):
             cv_bandwidth(ds, grid=np.array([]))
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([np.nan, -1.0, 0.3], "positive and finite"),
+            ([0.3, 0.0], "positive and finite"),
+            ([np.inf], "positive and finite"),
+            ([[0.3, 0.5], [0.2, 0.1]], "one-dimensional"),
+            (0.3, "one-dimensional"),
+        ],
+    )
+    def test_bad_candidate_or_shape_rejected(self, rng, grid, message):
+        # A bad candidate is an error, not dropped; a grid is not flattened.
+        ds = standardize_continuous(random_dataset(rng, n=10))
+        with pytest.raises(ConfigurationError, match=message):
+            cv_bandwidth(ds, grid=grid)
+
     def test_unstandardized_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             cv_bandwidth(random_dataset(rng, n=10))

@@ -109,6 +109,16 @@ class TestComputeWeights:
         w = compute_weights(ds, np.array([0.0, 0.0]), np.zeros(1), Lam)
         assert w[2] == 0.0
 
+    def test_zero_tail_starts_beyond_the_last_jump(self):
+        # Lambda's last jump (2.5) is past the dataset's last event time (2):
+        # a subject censored there is still at risk, one beyond it is cured.
+        ds = build_dataset([1.0, 2.0, 2.5, 3.0], [1, 1, 0, 0], z_cols=[[0.0] * 4])
+        Lam = StepFunction(np.array([1.0, 2.0, 2.5]), np.array([0.5, 1.0, 1.5]))
+        w = compute_weights(ds, np.zeros(1), np.zeros(1), Lam)  # phi = 1/2
+        s = math.exp(-1.5)
+        assert w[2] == pytest.approx(s / (1.0 + s), rel=1e-12)
+        assert w[3] == 0.0
+
     def test_direct_ratio(self):
         # phi = 0.8, S_u = 0.5 -> 0.4 / 0.6; censored time inside the support
         ds = build_dataset([1.0, 0.5], [1, 0], z_cols=[[0.0, 0.0]])
@@ -338,7 +348,7 @@ class TestLocationShiftedLatencyCovariate:
         strict=True,
         raises=(NumericalError, RuntimeWarning),
         reason="the exponentials of the linear predictor are unshifted in em_iterates's risk, "
-        "breslow_update, _log_susceptible_survival and _loglik, so e^{beta'z} overflows at z + 720",
+        "breslow_update, compute_weights and _loglik, so e^{beta'z} overflows at z + 720",
     )
     @pytest.mark.parametrize("method", METHODS)
     def test_location_shift_leaves_the_fit(self, method):

@@ -39,6 +39,17 @@ class TestObservedLoglik:
         event_term = math.log(0.3) + math.log(Lam.jump_at(1.0)) - Lam(1.0)
         assert value == pytest.approx((event_term + math.log(0.7)) / 2, rel=1e-10)
 
+    def test_zero_tail_starts_beyond_the_last_jump(self):
+        # Lambda's last jump (2.5) is past the dataset's last event time (2):
+        # censored at 2.5 gives log(1 - phi + phi S_u), beyond it log(1 - phi).
+        ds = build_dataset([1.0, 2.0, 2.5, 3.0], [1, 1, 0, 0], z_cols=[[0.0] * 4])
+        Lam = StepFunction(np.array([1.0, 2.0, 2.5]), np.array([0.5, 1.0, 1.5]))
+        value = observed_loglik(ds, np.zeros(1), np.zeros(1), Lam)  # phi = 1/2
+        half = math.log(0.5)
+        events = (half + half - 0.5) + (half + half - 1.0)
+        censored = math.log(0.5 * (1.0 + math.exp(-1.5))) + half
+        assert value == pytest.approx((events + censored) / 4, rel=1e-12)
+
     def test_zero_jump_sentinel(self):
         ds = build_dataset([1.0, 2.0], [1, 1], z_cols=[[0.0, 0.0]])
         Lam = StepFunction(np.array([2.0]), np.array([1.0]))  # no jump at t=1
