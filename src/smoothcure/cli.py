@@ -31,7 +31,10 @@ __all__ = ["main"]
 
 
 def _config_hash(args: argparse.Namespace) -> str:
-    payload = json.dumps(vars(args), sort_keys=True, default=str)
+    # The parsed options, not the handler: a function's text holds its
+    # address, which differs between runs.
+    options = {name: value for name, value in vars(args).items() if name != "func"}
+    payload = json.dumps(options, sort_keys=True, default=str)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -372,22 +372,26 @@ def load_csv(path, schema: CsvSchema) -> SurvivalDataset:
 
 
 def write_csv(ds: SurvivalDataset, path, time: str = "time", status: str = "status") -> None:
-    """Write the dataset back out; shared x/z columns are written once."""
-    columns: list[tuple[str, np.ndarray]] = [(time, ds.y), (status, ds.delta)]
-    seen = {time, status}
-    for j, name in enumerate(ds.meta.names):
-        if name not in seen:
-            columns.append((name, ds.x[:, j + 1]))
-            seen.add(name)
-    for j, name in enumerate(ds.z_names):
-        if name not in seen:
-            columns.append((name, ds.z[:, j]))
-            seen.add(name)
+    """Write the dataset back out; a column that x and z share is written once.
+
+    Raises :class:`SchemaError` where a column would be lost: a latency
+    column without a name, or two columns that share a name but not their
+    values.
+    """
+    if ds.q and not ds.z_names:
+        raise SchemaError(f"latency covariate column 0 of {ds.q} has no name to write it under")
+    columns: dict[str, np.ndarray] = {}
+    named = [(time, ds.y), (status, ds.delta), *zip(ds.meta.names, ds.x[:, 1:].T), *zip(ds.z_names, ds.z.T)]
+    for name, values in named:
+        if name not in columns:
+            columns[name] = values
+        elif not np.array_equal(columns[name], values):
+            raise SchemaError(f"two columns named {name!r} hold different values")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([name for name, _ in columns])
+        writer.writerow(columns)
         for i in range(ds.n):
-            writer.writerow([format(col[i], ".17g") for _, col in columns])
+            writer.writerow([format(col[i], ".17g") for col in columns.values()])
 
 
 def standardize_continuous(ds: SurvivalDataset) -> SurvivalDataset:

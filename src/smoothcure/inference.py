@@ -17,11 +17,12 @@ import numpy as np
 
 from .data import SurvivalDataset
 from .errors import CureModelError, InferenceError
+from .fanout import _fan_out
 from .incidence import expit
 from .latency_cox import compute_weights
 from .mle_baseline import CureModelFit
 from .pipeline import fit_cure_model
-from .simulate import DEFAULT_SEED, _fan_out, _rng
+from .simulate import DEFAULT_SEED, _rng
 
 __all__ = [
     "BootstrapResult",

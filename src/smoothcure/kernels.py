@@ -13,8 +13,12 @@ Each cell's columns are stored chunk-major (chunks of about sqrt(n_k)
 subjects, at most 16), so a row's running sum is a two-level scan: a
 running sum of the chunk totals, then one vector add per slot of a chunk
 over all chunks and rows of the block at once.  Each row's residual is
-summed unnormalized and divided by the row's mass afterwards.  Beyond
-block buffers of about 256 KB each, memory is O(K + n) for K candidates.
+summed unnormalized and divided by the row's mass afterwards.  The blocks
+are independent: a large scan scores them in one worker process per usable
+CPU, and the block totals are combined in one fixed order, so the scores
+are the same for any worker count.  Each worker, or this process when the
+scan runs serially, holds block buffers of about 1.5 MiB each; beyond
+them memory is O(K + n) for K candidates, in each.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 
 from .data import CovariateMeta, SurvivalDataset, _readonly
 from .errors import ConfigurationError
+from .fanout import _fan_out, _free_workers
 
 __all__ = [
     "Bandwidth",
@@ -128,15 +133,38 @@ def default_grid(lo: float = 0.05, hi: float = DEFAULT_CAP, num: int = 30) -> np
 
 
 # The kernel computations run a block of rows at a time, about 256 KB of
-# doubles per buffer (a batch of G candidates takes 1/G of the rows): every
-# pass over a block stays in a core's private cache, and no call allocates
-# an n x n array (18 MB of doubles at n = 1500, mapped afresh, page faults
-# included, on every call).
+# doubles per buffer in presmoothing: every pass over a block stays in a
+# core's private cache, and no call allocates an n x n array (18 MB of
+# doubles at n = 1500, mapped afresh, page faults included, on every call).
 _BLOCK_BYTES = 1 << 18
+
+# The bandwidth scan's blocks (a batch of G candidates takes 1/G of the
+# rows) are about 1.5 MiB per buffer: longer passes cost fewer numpy calls
+# per pair, and a block's working set still fits a 2 MiB L2 cache.  Against
+# 1 MiB, the fanned-out scan measured 5-9% faster on m1 at n = 1500 and
+# 3-6% on m4 at n = 400.  Presmoothing keeps 256 KB, which measured faster
+# there.
+_CV_BLOCK_BYTES = 3 << 19
+
+# The fewest pair-candidates (sum_k n_k^2 times the number of candidates)
+# for which the scan fans out to worker processes.  Starting and joining two
+# workers costs about 10 ms; below about this many the serial scan
+# measured as fast (m1 broke even near n = 400, 4.8M; m4 near n = 200,
+# 9.6M, whose few large blocks balance worse).
+_CV_FAN_OUT_PAIRS = 10_000_000
+
+# A fanned-out scan cuts its blocks into runs of consecutive blocks, about
+# this many per worker, and its workers take them costliest first (see
+# :func:`_cv_scores`).
+_CV_RUNS_PER_WORKER = 8
 
 
 def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * n))
+
+
+def _cv_block_rows(n: int) -> int:
+    return max(1, _CV_BLOCK_BYTES // (8 * n))
 
 
 # The widest chunk of a cell's chunk-major layout (see :class:`_CvCell`).
@@ -232,12 +260,74 @@ def _block_positions(slots: np.ndarray, m: int, chunks: int, batch: int) -> np.n
     return (slots // chunks) * (batch * m * chunks) + slots % chunks + rows * chunks
 
 
+def _cv_steps(table: tuple[_CvCell, ...], g: int) -> list[int]:
+    """Rows per block of each cell, with a batch of g candidates per row."""
+    return [min(cell.x.shape[1], _cv_block_rows(g * cell.events.size)) for cell in table]
+
+
 def _cv_scores(table: tuple[_CvCell, ...], grids: list[np.ndarray]) -> np.ndarray:
     """Criterion of every candidate in the product of per-covariate grids.
 
     ``grids`` holds one array of values per continuous covariate, and the
     scores come in :func:`itertools.product` order (the last covariate's
-    value varies fastest).  The Gaussian constants cancel in the
+    value varies fastest).  Each cell's rows are scored a block at a time
+    (see :func:`_cv_block_scores`), and the block totals are summed with
+    compensation, cell by cell and block by block, so the totals do not
+    depend on the block size beyond rounding.  A candidate under which no
+    row has leave-one-out mass scores +inf.
+
+    The blocks are independent.  When the scan holds at least
+    :data:`_CV_FAN_OUT_PAIRS` pair-candidates (sum_k n_k^2 times the
+    number of candidates) and the process may fan out (see
+    :func:`fanout._free_workers`), they are cut into runs of consecutive
+    blocks, about :data:`_CV_RUNS_PER_WORKER` per worker process, and the
+    workers take the runs one at a time, costliest first (pairs of
+    subjects in the run; ties in (cell, block) order), so a worker that
+    starts later or runs slower than the other takes fewer, and the last
+    runs to finish are small.  Otherwise one run takes every block, in
+    this process.  The sum runs in (cell, block) order either way, so
+    every score is the same for any worker count.  Each worker, or this
+    process when one run takes every block, holds buffers of about
+    :data:`_CV_BLOCK_BYTES` (1.5 MiB) each, or one row of G candidates
+    where that is larger; beyond them memory is O(K + n) for K candidates,
+    in each worker and in this process.
+    """
+    g = np.size(grids[-1])
+    n_candidates = math.prod(np.size(grid) for grid in grids)
+    blocks, pairs_in = [], []
+    for k, (cell, step) in enumerate(zip(table, _cv_steps(table, g))):
+        n = cell.x.shape[1]
+        for lo in range(0, n, step):
+            blocks.append((k, lo))
+            pairs_in.append(min(step, n - lo) * n)
+    pairs = n_candidates * sum(cell.x.shape[1] ** 2 for cell in table)
+    workers = min(len(blocks), _free_workers()) if pairs >= _CV_FAN_OUT_PAIRS else 1
+    per = -(-len(blocks) // (_CV_RUNS_PER_WORKER * workers)) if workers > 1 else len(blocks)
+    runs = [range(lo, min(lo + per, len(blocks))) for lo in range(0, len(blocks), per)]
+    runs.sort(key=lambda run: sum(pairs_in[run.start : run.stop]), reverse=True)
+    shards = _fan_out(_cv_block_scores, [(table, grids, blocks[run.start : run.stop]) for run in runs], workers)
+    block_sums = np.empty((len(blocks), n_candidates))
+    has_mass = np.zeros(n_candidates, dtype=bool)
+    for run, (sums, masses) in zip(runs, shards):
+        block_sums[run.start : run.stop] = sums
+        has_mass |= np.any(masses > 0.0, axis=0)
+    total = np.zeros(n_candidates)
+    carry = np.zeros(n_candidates)
+    for block_sum in block_sums:
+        y = block_sum - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return np.where(has_mass, total, np.inf)
+
+
+def _cv_block_scores(shard: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Per-candidate residual sums and largest row masses of some blocks.
+
+    ``shard`` is ``(table, grids, blocks)``, with ``blocks`` a list of
+    (cell index, first row) pairs; row (b, o * G + i) of both returned
+    arrays belongs to block b and the candidate of outer combination o and
+    last-covariate value i.  The Gaussian constants cancel in the
     Nadaraya-Watson ratio, so row i of a candidate holds the weights
     exp(-sum_c D_c^2 / (2 h_c^2)) of its cell's subjects, in the cell's
     chunk-major layout (see :class:`_CvCell`).  Their running sum in time
@@ -248,21 +338,17 @@ def _cv_scores(table: tuple[_CvCell, ...], grids: list[np.ndarray]) -> np.ndarra
     vector adds run down the slots of every chunk at once.  Folded into the
     residual, the squares times the ``events`` counts are summed and then
     divided twice by M; rows with M below :data:`_FOLD_MIN_MASS` divide
-    before squaring.  A candidate under which no row has leave-one-out mass
-    scores +inf.
+    before squaring.
 
-    Each cell's rows are scored a block at a time, with the last
-    covariate's grid as a batch axis.  A block of m rows is laid out as
-    (c, G, m, chunks), slot k outermost, so each add of the running sum is
-    one contiguous slice.  Each block forms its squared distances once per
-    covariate and the last covariate's factors exp(-D^2 / (2 h^2)) once per
-    grid value; every combination of the other covariates multiplies them
-    by its own factor.  The block totals are summed with compensation, cell
-    by cell and block by block.  Every buffer is sized for the largest
-    cell's blocks, about :data:`_BLOCK_BYTES` (256 KB), or one row of G
-    candidates where that is larger; beyond them memory is O(K + n) for K
-    candidates.
+    The last covariate's grid is a batch axis.  A block of m rows is laid
+    out as (c, G, m, chunks), slot k outermost, so each add of the running
+    sum is one contiguous slice.  Each block forms its squared distances
+    once per covariate and the last covariate's factors exp(-D^2 / (2 h^2))
+    once per grid value; every combination of the other covariates
+    multiplies them by its own factor.  A block's result depends on its
+    cell and rows only, not on the other blocks of the shard.
     """
+    table, grids, blocks = shard
     n_cont = len(grids)
     # Every scale lies in [-max, -tiny]: it stays finite however small h is,
     # so a zero distance keeps weight 1 instead of becoming 0 * inf, and
@@ -275,7 +361,7 @@ def _cv_scores(table: tuple[_CvCell, ...], grids: list[np.ndarray]) -> np.ndarra
     batch = scales[-1]
     outer = list(itertools.product(*scales[:-1]))
     g = batch.size
-    steps = [min(cell.x.shape[1], _block_rows(g * cell.events.size)) for cell in table]
+    steps = _cv_steps(table, g)
     size = max(step * cell.events.size for step, cell in zip(steps, table))
     d2_work = np.empty((n_cont, size))
     outer_work = np.empty((2, size)) if n_cont > 1 else None
@@ -285,87 +371,79 @@ def _cv_scores(table: tuple[_CvCell, ...], grids: list[np.ndarray]) -> np.ndarra
     offsets_work = np.empty_like(totals_work)
     mass_work = np.empty(g * max(steps))
     resid_work = np.empty_like(mass_work)
-    block_sum = np.empty((len(outer), g))
-    block_max = np.empty((len(outer), g))
-    total = np.zeros(block_sum.size)
-    carry = np.zeros(block_sum.size)
-    has_mass = np.zeros(block_sum.size, dtype=bool)
+    sums = np.empty((len(blocks), len(outer), g))
+    masses = np.empty_like(sums)
+    laid_out = None
     with np.errstate(over="ignore"):
-        for cell, step in zip(table, steps):
+        for b, (k, lo) in enumerate(blocks):
+            cell = table[k]
             n = cell.x.shape[1]
             width, chunks = cell.events.shape
-            own = _slot(np.arange(n), width, chunks)
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                m = hi - lo
-                r = g * m
-                if lo == 0 or m < step:
-                    # Positions of each row's own slot, start slot and start
-                    # chunk, for this and any later blocks of m rows.
-                    first = lo
-                    own_at = _block_positions(own[lo:], m, chunks, 1)
-                    start_at = _block_positions(cell.start[lo:], m, chunks, g)
-                    chunk_at = _block_positions(cell.start[lo:] % chunks, m, chunks, g)
-                    batch_at = (np.arange(g) * (m * chunks))[:, None]
-                rows = slice(lo - first, hi - first)
-                # Contiguous views, so a partial last block reshapes freely.
-                d2 = d2_work[:, : width * m * chunks].reshape(n_cont, width, m, chunks)
-                for c, (x, x_slots) in enumerate(zip(cell.x, cell.x_slots)):
-                    np.subtract(x_slots[:, None, :], x[lo:hi, None], out=d2[c])
-                    np.square(d2[c], out=d2[c])
-                d2[-1].reshape(-1)[own_at[rows]] = np.inf
-                f = factors[: g * width * m * chunks].reshape(width, g, m, chunks)
-                # The products with the batch of scales, as an einsum over a
-                # unit axis: the same products, in a faster loop.
-                np.einsum("kiqj,gi->kgqj", d2[-1][:, None], batch[:, None], out=f)
-                np.exp(f, out=f)
-                start = start_at[rows] + batch_at
-                start_chunk = chunk_at[rows] + batch_at
-                for o, outer_scale in enumerate(outer):
-                    w = f
-                    if outer_scale:
-                        e = outer_work[0, : width * m * chunks].reshape(width, m, chunks)
-                        part = outer_work[1, : width * m * chunks].reshape(width, m, chunks)
-                        for c, s in enumerate(outer_scale):
-                            np.multiply(d2[c], s, out=part if c else e)
-                            if c:
-                                e += part
-                        np.exp(e, out=e)
-                        w = np.multiply(f, e[:, None], out=weights[: f.size].reshape(f.shape))
-                    w = w.reshape(width, r * chunks)
-                    totals = np.add.reduce(w, axis=0, out=totals_work[: r * chunks])
-                    mass = totals.reshape(r, chunks).sum(axis=1, out=mass_work[:r])
-                    w.reshape(-1)[start] -= mass.reshape(g, m)
-                    totals[start_chunk] -= mass.reshape(g, m)
-                    # Each chunk starts from the running sum of the chunk
-                    # totals before it, then adds its slots in turn.
-                    offsets = offsets_work[: r * chunks].reshape(r, chunks)
-                    offsets[:, 0] = 0.0
-                    np.cumsum(totals.reshape(r, chunks)[:, :-1], axis=1, out=offsets[:, 1:])
-                    w[0] += offsets.reshape(-1)
-                    for k in range(1, width):
-                        np.add(w[k], w[k - 1], out=w[k])
-                    a = w.reshape(width, r, chunks)
-                    resid = np.einsum("krj,krj,kj->r", a, a, cell.events, out=resid_work[:r])
-                    folded = mass >= _FOLD_MIN_MASS
-                    scale = np.where(folded, mass, 1.0)
-                    resid /= scale
-                    resid /= scale
-                    # A row without mass has all-zero weights and a residual of 0.
-                    small = np.flatnonzero(~folded & (mass > 0.0))
-                    if small.size:
-                        a_small = a[:, small] / mass[small, None]
-                        resid[small] = np.einsum("krj,krj,kj->r", a_small, a_small, cell.events)
-                    resid.reshape(g, m).sum(axis=1, out=block_sum[o])
-                    mass.reshape(g, m).max(axis=1, out=block_max[o])
-                # Compensated sum over cells and blocks, so the totals do
-                # not depend on the block size beyond rounding.
-                y = block_sum.ravel() - carry
-                t = total + y
-                carry = (t - total) - y
-                total = t
-                has_mass |= block_max.ravel() > 0.0
-    return np.where(has_mass, total, np.inf)
+            hi = min(lo + steps[k], n)
+            m = hi - lo
+            r = g * m
+            if laid_out != (k, m):
+                # Positions of each row's own slot, start slot and start
+                # chunk, for this block and any later blocks of m rows of
+                # the cell; a shard's first block of a cell need not be the
+                # cell's first.
+                laid_out, first = (k, m), lo
+                own_at = _block_positions(_slot(np.arange(lo, n), width, chunks), m, chunks, 1)
+                start_at = _block_positions(cell.start[lo:], m, chunks, g)
+                chunk_at = _block_positions(cell.start[lo:] % chunks, m, chunks, g)
+                batch_at = (np.arange(g) * (m * chunks))[:, None]
+            rows = slice(lo - first, hi - first)
+            # Contiguous views, so a partial last block reshapes freely.
+            d2 = d2_work[:, : width * m * chunks].reshape(n_cont, width, m, chunks)
+            for c, (x, x_slots) in enumerate(zip(cell.x, cell.x_slots)):
+                np.subtract(x_slots[:, None, :], x[lo:hi, None], out=d2[c])
+                np.square(d2[c], out=d2[c])
+            d2[-1].reshape(-1)[own_at[rows]] = np.inf
+            f = factors[: g * width * m * chunks].reshape(width, g, m, chunks)
+            # The products with the batch of scales, as an einsum over a
+            # unit axis: the same products, in a faster loop.
+            np.einsum("kiqj,gi->kgqj", d2[-1][:, None], batch[:, None], out=f)
+            np.exp(f, out=f)
+            start = start_at[rows] + batch_at
+            start_chunk = chunk_at[rows] + batch_at
+            for o, outer_scale in enumerate(outer):
+                w = f
+                if outer_scale:
+                    e = outer_work[0, : width * m * chunks].reshape(width, m, chunks)
+                    part = outer_work[1, : width * m * chunks].reshape(width, m, chunks)
+                    for c, s in enumerate(outer_scale):
+                        np.multiply(d2[c], s, out=part if c else e)
+                        if c:
+                            e += part
+                    np.exp(e, out=e)
+                    w = np.multiply(f, e[:, None], out=weights[: f.size].reshape(f.shape))
+                w = w.reshape(width, r * chunks)
+                totals = np.add.reduce(w, axis=0, out=totals_work[: r * chunks])
+                mass = totals.reshape(r, chunks).sum(axis=1, out=mass_work[:r])
+                w.reshape(-1)[start] -= mass.reshape(g, m)
+                totals[start_chunk] -= mass.reshape(g, m)
+                # Each chunk starts from the running sum of the chunk
+                # totals before it, then adds its slots in turn.
+                offsets = offsets_work[: r * chunks].reshape(r, chunks)
+                offsets[:, 0] = 0.0
+                np.cumsum(totals.reshape(r, chunks)[:, :-1], axis=1, out=offsets[:, 1:])
+                w[0] += offsets.reshape(-1)
+                for j in range(1, width):
+                    np.add(w[j], w[j - 1], out=w[j])
+                a = w.reshape(width, r, chunks)
+                resid = np.einsum("krj,krj,kj->r", a, a, cell.events, out=resid_work[:r])
+                folded = mass >= _FOLD_MIN_MASS
+                scale = np.where(folded, mass, 1.0)
+                resid /= scale
+                resid /= scale
+                # A row without mass has all-zero weights and a residual of 0.
+                small = np.flatnonzero(~folded & (mass > 0.0))
+                if small.size:
+                    a_small = a[:, small] / mass[small, None]
+                    resid[small] = np.einsum("krj,krj,kj->r", a_small, a_small, cell.events)
+                resid.reshape(g, m).sum(axis=1, out=sums[b, o])
+                mass.reshape(g, m).max(axis=1, out=masses[b, o])
+    return sums.reshape(len(blocks), -1), masses.reshape(len(blocks), -1)
 
 
 def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
@@ -393,7 +471,8 @@ def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
     subjects is scored on its own and the cost is O(sum_k n_k^2); no pair
     across cells is formed.  This is the one-candidate case of the scan
     :func:`cv_bandwidth` makes.  Memory is O(n) beyond a few blocks of rows
-    of about 256 KB each.
+    of about 1.5 MiB each, held by each worker process where a large scan
+    fans out (see :func:`cv_bandwidth`).
     """
     _check_bandwidth(b, ds.meta)
     return float(_cv_scores(_cv_table(ds), list(b.h[:, None]))[0])
@@ -422,11 +501,21 @@ def cv_bandwidth(ds: SurvivalDataset, grid: np.ndarray | None = None) -> Bandwid
     out chunk-major, slot outermost, so each row's running sum takes one
     vector add per slot of a chunk over the whole block and one running sum
     of the chunk totals; the residuals are divided by the row masses after
-    they are summed (see :func:`_cv_scores`).  Only pairs within a cell are
-    formed, so time is O(sum_k n_k^2) per candidate for cells of n_k
-    subjects, O(n^2) without discrete covariates.  Memory is O(K + n) for K
-    candidates beyond a few blocks of about 256 KB each (one row of G
-    candidates where that is larger: 360 KB at n = 1500, G = 30).
+    they are summed (see :func:`_cv_block_scores`).  Only pairs within a
+    cell are formed, so time is O(sum_k n_k^2) per candidate for cells of
+    n_k subjects, O(n^2) without discrete covariates.
+
+    A scan of at least ten million pair-candidates (sum_k n_k^2 times the
+    number of candidates) scores its blocks in worker processes, one per
+    CPU this process may run on, when this process is not itself a worker
+    and the multiprocessing start method is fork; the workers take runs of
+    consecutive blocks, costliest first, as each is free, and every worker
+    is joined before the call returns.  The block totals are summed in one
+    fixed order either way, so the selected bandwidth is the same for any
+    worker count (see :func:`_cv_scores`).
+    Memory is O(K + n) for K candidates beyond a few blocks of about
+    1.5 MiB each (one row of G candidates where that is larger: 1.8 MiB at
+    n = 8000, G = 30), in each worker and in this process.
     """
     if not ds.meta.standardized:
         raise ConfigurationError("bandwidth selection expects standardized covariates")

@@ -18,13 +18,13 @@ bootstrap resamples draw from the same stream constructor.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import CovariateMeta, SurvivalDataset
 from .errors import ConfigurationError
+from .fanout import _fan_out
 from .incidence import expit
 from .mle_baseline import fit_mle_em
 from .pipeline import METHODS, fit_presmoothing
@@ -98,18 +98,6 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     """The counter-based stream of ``seed`` under ``key``: (replication,
     purpose) for a generated dataset, (replicate,) for a bootstrap resample."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
-
-
-def _fan_out(replicate, tasks: list, n_jobs: int) -> list:
-    """``replicate`` mapped over ``tasks``, results in task order: in this
-    process when ``n_jobs <= 1``, otherwise over ``n_jobs`` worker processes
-    that each take about 32 chunks of tasks: a worker's idle tail is then
-    about a chunk, and dispatching a chunk costs little next to its refits."""
-    if n_jobs <= 1:
-        return [replicate(task) for task in tasks]
-    chunksize = -(-len(tasks) // (32 * n_jobs))
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(replicate, tasks, chunksize=chunksize))
 
 
 def truncated_weibull_ph_sample(rho, mu, linpred, tau0, u, no_jump: bool = False):

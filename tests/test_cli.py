@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smoothcure
 from smoothcure import (
     CsvSchema,
     CureModelError,
@@ -256,6 +261,21 @@ class TestKm:
             ["km", "--input", str(tmp_path / "missing.csv"), *SCHEMA, "--out", str(tmp_path / "o.csv")]
         )
         assert code == 2
+
+    def test_config_hash_same_across_processes(self, data_csv, tmp_path):
+        # The hash covers the parsed options only, nothing that differs
+        # between two interpreters running the same command.
+        out = tmp_path / "km.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(smoothcure.__file__).parents[1])}
+        hashes = []
+        for _ in range(2):
+            subprocess.run(
+                [sys.executable, "-m", "smoothcure.cli", "km", "--input", data_csv, *SCHEMA, "--out", str(out)],
+                env=env, check=True, timeout=120,
+            )
+            first = out.read_text(encoding="utf-8").splitlines()[0]
+            hashes.append(dict(item.split("=", 1) for item in first[2:].split(", "))["config_hash"])
+        assert hashes[0] == hashes[1]
 
 
 class TestSeedFlag:

@@ -100,6 +100,32 @@ class TestLoadCsv:
         assert np.allclose(ds.z, ds2.z, rtol=0, atol=1e-12)
 
 
+class TestWriteCsv:
+    """No column of a three-row dataset is dropped on the way out."""
+
+    @staticmethod
+    def dataset(z, z_names):
+        meta = CovariateMeta(names=("x1",), discrete=(False,))
+        x = np.column_stack([np.ones(3), [0.1, 0.2, 0.3]])
+        return SurvivalDataset(np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1]), x, z, meta, z_names=z_names)
+
+    def test_unnamed_latency_column_rejected(self, tmp_path):
+        ds = self.dataset(np.array([[5.0], [6.0], [7.0]]), ())
+        with pytest.raises(SchemaError, match="latency covariate column 0"):
+            write_csv(ds, tmp_path / "out.csv")
+
+    def test_same_name_other_values_rejected(self, tmp_path):
+        ds = self.dataset(np.array([[5.0], [6.0], [7.0]]), ("x1",))
+        with pytest.raises(SchemaError, match="'x1'"):
+            write_csv(ds, tmp_path / "out.csv")
+
+    def test_shared_column_written_once(self, tmp_path):
+        ds = self.dataset(np.array([[0.1, 5.0], [0.2, 6.0], [0.3, 7.0]]), ("x1", "z2"))
+        write_csv(ds, tmp_path / "out.csv")
+        header = (tmp_path / "out.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert header == "time,status,x1,z2"
+
+
 class TestStandardize:
     def test_known_column(self):
         ds = build_dataset([1, 2, 3], [1, 1, 0], x_cols=[[0.0, 2.0, 4.0]])

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import warnings
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from smoothcure import (
     default_grid,
     standardize_continuous,
 )
-from smoothcure import kernels
+from smoothcure import fanout, kernels
 from smoothcure.kernels import DEFAULT_CAP, cv_criterion, epanechnikov, kernel_weight_matrix
 from smoothcure.simulate import DEFAULT_SEED, SCENARIOS, generate, make_scenario
 
@@ -179,8 +181,8 @@ class TestCvCriterionOracle:
         # rows (most cases end on a partial block) give the same criterion.
         name, ds, values = hostile_kernel_cases(rng)[case]
         span = largest_span(ds)
-        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * span * rows)
-        assert kernels._block_rows(span) == rows
+        monkeypatch.setattr(kernels, "_CV_BLOCK_BYTES", 8 * span * rows)
+        assert kernels._cv_block_rows(span) == rows
         for h in values:
             b = Bandwidth(np.full(ds.meta.n_continuous, h))
             expected = direct_cv_criterion(ds, b)
@@ -200,7 +202,7 @@ class TestCvCriterionOracle:
         assert min(p.size for p in cells) == 1
         assert min(ds.delta[t.order[p]].sum() for p in cells) == 0
         assert np.any(cell_at[t.start] != cell_at)
-        monkeypatch.setattr(kernels, "_block_rows", lambda n: rows)
+        monkeypatch.setattr(kernels, "_cv_block_rows", lambda n: rows)
         for h in values:
             b = Bandwidth(np.full(ds.meta.n_continuous, h))
             expected = direct_cv_criterion(ds, b)
@@ -379,8 +381,8 @@ class TestBatchedScores:
         # a partial block); the one-candidate calls of cv_criterion get
         # len(grid) times as many.
         span = largest_span(ds)
-        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * span * grid.size * rows)
-        assert kernels._block_rows(span * grid.size) == rows
+        monkeypatch.setattr(kernels, "_CV_BLOCK_BYTES", 8 * span * grid.size * rows)
+        assert kernels._cv_block_rows(span * grid.size) == rows
         n_cont = ds.meta.n_continuous
         scores = kernels._cv_scores(kernels._cv_table(ds), [grid] * n_cont)
         combos = list(itertools.product(grid, repeat=n_cont))
@@ -397,7 +399,7 @@ class TestBatchedScores:
         name, ds, values = batched_cases(rng)[case]
         ds = standardize_continuous(ds)
         grid = np.asarray(values)
-        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * largest_span(ds) * grid.size)
+        monkeypatch.setattr(kernels, "_CV_BLOCK_BYTES", 8 * largest_span(ds) * grid.size)
         n_cont = ds.meta.n_continuous
         scores = kernels._cv_scores(kernels._cv_table(ds), [grid] * n_cont)
         best = list(itertools.product(grid, repeat=n_cont))[int(np.argmin(scores))]
@@ -443,6 +445,89 @@ def test_cv_underflow_raises_no_warning(rng):
     assert np.any(np.isfinite(scores))
     # The smallest candidate does underflow: some neighborhoods lose all mass.
     assert np.any(gaussian_weight_matrix(ds, Bandwidth(np.full(2, grid[0]))).sum(axis=1) == 0.0)
+
+
+def _workers_seen(_):
+    return fanout._free_workers()
+
+
+class TestFanOut:
+    """The scan's blocks give the same scores in any number of worker processes."""
+
+    @staticmethod
+    def scores(table, grids, monkeypatch, workers):
+        monkeypatch.setattr(kernels, "_CV_FAN_OUT_PAIRS", 0)
+        monkeypatch.setattr(kernels, "_free_workers", lambda: workers)
+        return kernels._cv_scores(table, grids)
+
+    @staticmethod
+    def m4_like():
+        # Four discrete cells of unequal size, two continuous covariates.
+        ds = standardize_continuous(generate(make_scenario("m4/s1/c1", n=400), DEFAULT_SEED, 0))
+        sizes = sorted(p.size for p in ds._cells.positions)
+        assert len(sizes) == 4 and sizes[-1] > 1.5 * sizes[0]
+        return ds
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    @pytest.mark.parametrize("case", [0, 5])
+    def test_identical_for_any_worker_count(self, rng, monkeypatch, case, rows, workers):
+        # Case 0 is one cell; case 5 has cells of 1 to 13 subjects, smaller
+        # than one block at the default size.  Blocks of 1 and 7 rows split
+        # every cell across shards, so a shard's first block of a cell is
+        # not the cell's first, and 7 ends most cells on a partial block.
+        name, ds, values = hostile_kernel_cases(rng)[case]
+        if rows is not None:
+            monkeypatch.setattr(kernels, "_CV_BLOCK_BYTES", 8 * largest_span(ds) * len(values) * rows)
+        table, grids = kernels._cv_table(ds), [np.asarray(values)] * ds.meta.n_continuous
+        serial = self.scores(table, grids, monkeypatch, 1)
+        assert np.array_equal(self.scores(table, grids, monkeypatch, workers), serial), name
+
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_unequal_cells_identical(self, monkeypatch, rows):
+        ds = self.m4_like()
+        grid = default_grid(num=4)
+        if rows is not None:
+            monkeypatch.setattr(kernels, "_CV_BLOCK_BYTES", 8 * largest_span(ds) * grid.size * rows)
+        table = kernels._cv_table(ds)
+        serial = self.scores(table, [grid] * 2, monkeypatch, 1)
+        assert np.array_equal(self.scores(table, [grid] * 2, monkeypatch, 2), serial)
+        selected = cv_bandwidth(ds, grid=grid)
+        monkeypatch.setattr(kernels, "_free_workers", lambda: 1)
+        assert np.array_equal(cv_bandwidth(ds, grid=grid).h, selected.h)
+
+    def test_default_threshold_decides(self, monkeypatch):
+        # Without a patched threshold, a scan of the m4 input fans out and
+        # a small one does not.
+        calls = []
+        fan_out = kernels._fan_out
+
+        def spy(replicate, tasks, n_jobs):
+            calls.append(n_jobs)
+            return fan_out(replicate, tasks, n_jobs)
+
+        monkeypatch.setattr(kernels, "_fan_out", spy)
+        monkeypatch.setattr(kernels, "_free_workers", lambda: 2)
+        ds = self.m4_like()
+        cv_bandwidth(ds, grid=default_grid(num=30))
+        cv_bandwidth(ds, grid=default_grid(num=3))
+        assert calls == [2, 1]
+
+    def test_every_worker_joined(self, monkeypatch):
+        ds = self.m4_like()
+        monkeypatch.setattr(kernels, "_CV_FAN_OUT_PAIRS", 0)
+        monkeypatch.setattr(kernels, "_free_workers", lambda: 2)
+        cv_bandwidth(ds, grid=default_grid(num=4))
+        assert multiprocessing.active_children() == []
+
+    def test_free_workers(self, monkeypatch):
+        # One per usable CPU in a process that is not a worker, under fork;
+        # 1 inside a worker and under any other start method.
+        assert multiprocessing.get_start_method() == "fork"
+        assert fanout._free_workers() == len(os.sched_getaffinity(0))
+        assert fanout._fan_out(_workers_seen, [0, 1], 2) == [1, 1]
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: "spawn")
+        assert fanout._free_workers() == 1
 
 
 class TestCvBandwidth:

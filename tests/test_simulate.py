@@ -5,6 +5,7 @@ from scipy.special import expit
 from scipy.stats import kstest
 
 import smoothcure.simulate as simulate
+from smoothcure import kernels
 from smoothcure import (
     ConfigurationError,
     SCENARIOS,
@@ -186,6 +187,15 @@ class TestRunStudy:
         c = run_study(sce, reps=12, seed=3, methods=("mle",), n_jobs=1)
         assert np.array_equal(a.methods["mle"].estimates, b.methods["mle"].estimates)
         assert np.array_equal(a.methods["mle"].estimates, c.methods["mle"].estimates)
+
+    def test_fanned_out_cv_worker_independent(self, monkeypatch):
+        # Above the threshold, each replication's CV fans out when the study
+        # runs in this process, and runs serially inside a study worker.
+        monkeypatch.setattr(kernels, "_CV_FAN_OUT_PAIRS", 0)
+        sce = make_scenario("m4/s1/c1", n=60)
+        a = run_study(sce, reps=10, seed=3, methods=("presmooth",), n_jobs=1)
+        b = run_study(sce, reps=10, seed=3, methods=("presmooth",), n_jobs=2)
+        assert np.array_equal(a.methods["presmooth"].estimates, b.methods["presmooth"].estimates)
 
     def test_rejects_tiny_rep_counts(self):
         with pytest.raises(ConfigurationError):
