@@ -104,7 +104,11 @@ def _fit_options(args: argparse.Namespace, method: str) -> dict:
     if method == "mle":
         return options
     if args.bandwidth:
-        options["bandwidth"] = Bandwidth(np.array([float(v) for v in args.bandwidth.split(",")]))
+        try:
+            h = np.array([float(v) for v in args.bandwidth.split(",")])
+        except ValueError as exc:
+            raise ConfigurationError(f"--bandwidth expects a comma list of numbers, got {args.bandwidth!r}") from exc
+        options["bandwidth"] = Bandwidth(h)
     if args.bandwidth_grid:
         try:
             lo, hi, num = args.bandwidth_grid.split(":")

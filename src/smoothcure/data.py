@@ -327,7 +327,9 @@ def load_csv(path, schema: CsvSchema) -> SurvivalDataset:
     """Read a UTF-8 comma-separated file, byte-order mark allowed, with a header row into a dataset.
 
     The intercept column is prepended to the incidence block; row order is
-    preserved.  Data rows are numbered from 1 in error messages.
+    preserved.  Data rows are numbered from 1 in error messages.  A column
+    the schema reads must appear once in the header, or
+    :class:`SchemaError` names it.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -342,6 +344,9 @@ def load_csv(path, schema: CsvSchema) -> SurvivalDataset:
     missing = sorted({c for c in needed if c not in positions})
     if missing:
         raise SchemaError(f"columns missing from {path}: {missing}")
+    repeated = sorted({c for c in needed if header.count(c) > 1})
+    if repeated:
+        raise SchemaError(f"columns named more than once in {path}: {repeated}")
 
     n = len(rows)
     y = np.empty(n)

@@ -15,8 +15,9 @@ running sum of the chunk totals, then one vector add per slot of a chunk
 over all chunks and rows of the block at once.  Each row's residual is
 summed unnormalized and divided by the row's mass afterwards.  The blocks
 are independent: a large scan scores them in one worker process per usable
-CPU, and the block totals are combined in one fixed order, so the scores
-are the same for any worker count.  Each worker, or this process when the
+CPU, and each score is the exactly rounded sum of its block totals
+(:func:`math.fsum`), so the scores are the same for any worker count and
+any order the blocks come back in.  Each worker, or this process when the
 scan runs serially, holds block buffers of about 1.5 MiB each; beyond
 them memory is O(K + n) for K candidates, in each.
 """
@@ -132,18 +133,12 @@ def default_grid(lo: float = 0.05, hi: float = DEFAULT_CAP, num: int = 30) -> np
     return np.geomspace(lo, hi, num)
 
 
-# The kernel computations run a block of rows at a time, about 256 KB of
-# doubles per buffer in presmoothing: every pass over a block stays in a
-# core's private cache, and no call allocates an n x n array (18 MB of
-# doubles at n = 1500, mapped afresh, page faults included, on every call).
-_BLOCK_BYTES = 1 << 18
-
-# The bandwidth scan's blocks (a batch of G candidates takes 1/G of the
-# rows) are about 1.5 MiB per buffer: longer passes cost fewer numpy calls
-# per pair, and a block's working set still fits a 2 MiB L2 cache.  Against
-# 1 MiB, the fanned-out scan measured 5-9% faster on m1 at n = 1500 and
-# 3-6% on m4 at n = 400.  Presmoothing keeps 256 KB, which measured faster
-# there.
+# The bandwidth scan runs a block of rows at a time (a batch of G
+# candidates takes 1/G of the rows), about 1.5 MiB per buffer: no call
+# allocates an n x n array, longer passes cost fewer numpy calls per pair,
+# and a block's working set still fits a 2 MiB L2 cache.  Against 1 MiB,
+# the fanned-out scan measured 5-9% faster on m1 at n = 1500 and 3-6% on m4
+# at n = 400.  Presmoothing keeps its own, smaller blocks.
 _CV_BLOCK_BYTES = 3 << 19
 
 # The fewest pair-candidates (sum_k n_k^2 times the number of candidates)
@@ -157,10 +152,6 @@ _CV_FAN_OUT_PAIRS = 10_000_000
 # this many per worker, and its workers take them costliest first (see
 # :func:`_cv_scores`).
 _CV_RUNS_PER_WORKER = 8
-
-
-def _block_rows(n: int) -> int:
-    return max(1, _BLOCK_BYTES // (8 * n))
 
 
 def _cv_block_rows(n: int) -> int:
@@ -260,21 +251,17 @@ def _block_positions(slots: np.ndarray, m: int, chunks: int, batch: int) -> np.n
     return (slots // chunks) * (batch * m * chunks) + slots % chunks + rows * chunks
 
 
-def _cv_steps(table: tuple[_CvCell, ...], g: int) -> list[int]:
-    """Rows per block of each cell, with a batch of g candidates per row."""
-    return [min(cell.x.shape[1], _cv_block_rows(g * cell.events.size)) for cell in table]
-
-
 def _cv_scores(table: tuple[_CvCell, ...], grids: list[np.ndarray]) -> np.ndarray:
     """Criterion of every candidate in the product of per-covariate grids.
 
     ``grids`` holds one array of values per continuous covariate, and the
     scores come in :func:`itertools.product` order (the last covariate's
-    value varies fastest).  Each cell's rows are scored a block at a time
-    (see :func:`_cv_block_scores`), and the block totals are summed with
-    compensation, cell by cell and block by block, so the totals do not
-    depend on the block size beyond rounding.  A candidate under which no
-    row has leave-one-out mass scores +inf.
+    value varies fastest).  Each cell's rows are cut once into blocks of
+    :func:`_cv_block_rows` rows, for a batch of G candidates per row, and
+    scored a block at a time (see :func:`_cv_block_scores`).  A candidate's
+    score is the exactly rounded sum of its block sums (:func:`math.fsum`),
+    whatever order the blocks come back in; a candidate under which no row
+    has leave-one-out mass scores +inf.
 
     The blocks are independent.  When the scan holds at least
     :data:`_CV_FAN_OUT_PAIRS` pair-candidates (sum_k n_k^2 times the
@@ -282,71 +269,59 @@ def _cv_scores(table: tuple[_CvCell, ...], grids: list[np.ndarray]) -> np.ndarra
     :func:`fanout._free_workers`), they are cut into runs of consecutive
     blocks, about :data:`_CV_RUNS_PER_WORKER` per worker process, and the
     workers take the runs one at a time, costliest first (pairs of
-    subjects in the run; ties in (cell, block) order), so a worker that
-    starts later or runs slower than the other takes fewer, and the last
-    runs to finish are small.  Otherwise one run takes every block, in
-    this process.  The sum runs in (cell, block) order either way, so
-    every score is the same for any worker count.  Each worker, or this
-    process when one run takes every block, holds buffers of about
+    subjects in the run), so a worker that starts later or runs slower than
+    the other takes fewer, and the last runs to finish are small.
+    Otherwise one run takes every block, in this process.  Every score is
+    the same for any worker count and any cut of the runs.  Each worker, or
+    this process when one run takes every block, holds buffers of about
     :data:`_CV_BLOCK_BYTES` (1.5 MiB) each, or one row of G candidates
     where that is larger; beyond them memory is O(K + n) for K candidates,
     in each worker and in this process.
     """
     g = np.size(grids[-1])
     n_candidates = math.prod(np.size(grid) for grid in grids)
-    blocks, pairs_in = [], []
-    for k, (cell, step) in enumerate(zip(table, _cv_steps(table, g))):
-        n = cell.x.shape[1]
-        for lo in range(0, n, step):
-            blocks.append((k, lo))
-            pairs_in.append(min(step, n - lo) * n)
+    blocks = []
+    for k, cell in enumerate(table):
+        n, step = cell.x.shape[1], _cv_block_rows(g * cell.events.size)
+        blocks += [(k, lo, min(lo + step, n)) for lo in range(0, n, step)]
     pairs = n_candidates * sum(cell.x.shape[1] ** 2 for cell in table)
     workers = min(len(blocks), _free_workers()) if pairs >= _CV_FAN_OUT_PAIRS else 1
     per = -(-len(blocks) // (_CV_RUNS_PER_WORKER * workers)) if workers > 1 else len(blocks)
-    runs = [range(lo, min(lo + per, len(blocks))) for lo in range(0, len(blocks), per)]
-    runs.sort(key=lambda run: sum(pairs_in[run.start : run.stop]), reverse=True)
-    shards = _fan_out(_cv_block_scores, [(table, grids, blocks[run.start : run.stop]) for run in runs], workers)
-    block_sums = np.empty((len(blocks), n_candidates))
-    has_mass = np.zeros(n_candidates, dtype=bool)
-    for run, (sums, masses) in zip(runs, shards):
-        block_sums[run.start : run.stop] = sums
-        has_mass |= np.any(masses > 0.0, axis=0)
-    total = np.zeros(n_candidates)
-    carry = np.zeros(n_candidates)
-    for block_sum in block_sums:
-        y = block_sum - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return np.where(has_mass, total, np.inf)
+    runs = [blocks[lo : lo + per] for lo in range(0, len(blocks), per)]
+    runs.sort(key=lambda run: sum((hi - lo) * table[k].x.shape[1] for k, lo, hi in run), reverse=True)
+    shards = _fan_out(_cv_block_scores, [(table, grids, run) for run in runs], workers)
+    sums = np.concatenate([block_sums for block_sums, _ in shards])
+    has_mass = np.logical_or.reduce([mass for _, mass in shards])
+    return np.where(has_mass, [math.fsum(column) for column in sums.T.tolist()], np.inf)
 
 
 def _cv_block_scores(shard: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Per-candidate residual sums and largest row masses of some blocks.
+    """Per-candidate residual sums of some blocks, and whether some row of
+    them has leave-one-out mass under each candidate.
 
     ``shard`` is ``(table, grids, blocks)``, with ``blocks`` a list of
-    (cell index, first row) pairs; row (b, o * G + i) of both returned
-    arrays belongs to block b and the candidate of outer combination o and
-    last-covariate value i.  The Gaussian constants cancel in the
-    Nadaraya-Watson ratio, so row i of a candidate holds the weights
-    exp(-sum_c D_c^2 / (2 h_c^2)) of its cell's subjects, in the cell's
-    chunk-major layout (see :class:`_CvCell`).  Their running sum in time
-    order, less the row total M from ``start[i]`` on, is M times
-    H(t | X_i) - 1{Y_i <= t} at every event-time position up to the next
-    subject.  The running sum takes two levels: an exclusive running sum of
-    the chunk totals gives each chunk's first slot its offset, then c - 1
-    vector adds run down the slots of every chunk at once.  Folded into the
-    residual, the squares times the ``events`` counts are summed and then
-    divided twice by M; rows with M below :data:`_FOLD_MIN_MASS` divide
-    before squaring.
+    (cell index, first row, end row) triples; row b of the returned sums
+    belongs to block b, and column o * G + i of both returned arrays to the
+    candidate of outer combination o and last-covariate value i.  The
+    Gaussian constants cancel in the Nadaraya-Watson ratio, so row i of a
+    candidate holds the weights exp(-sum_c D_c^2 / (2 h_c^2)) of its cell's
+    subjects, in the cell's chunk-major layout (see :class:`_CvCell`).
+    Their running sum in time order, less the row total M from ``start[i]``
+    on, is M times H(t | X_i) - 1{Y_i <= t} at every event-time position
+    up to the next subject.  The running sum takes two levels: an exclusive
+    running sum of the chunk totals gives each chunk's first slot its
+    offset, then c - 1 vector adds run down the slots of every chunk at
+    once.  Folded into the residual, the squares times the ``events``
+    counts are summed and then divided twice by M; rows with M below
+    :data:`_FOLD_MIN_MASS` divide before squaring.
 
     The last covariate's grid is a batch axis.  A block of m rows is laid
     out as (c, G, m, chunks), slot k outermost, so each add of the running
     sum is one contiguous slice.  Each block forms its squared distances
     once per covariate and the last covariate's factors exp(-D^2 / (2 h^2))
     once per grid value; every combination of the other covariates
-    multiplies them by its own factor.  A block's result depends on its
-    cell and rows only, not on the other blocks of the shard.
+    multiplies them by its own factor.  A block's sums depend on its cell
+    and rows only, not on the other blocks of the shard.
     """
     table, grids, blocks = shard
     n_cont = len(grids)
@@ -361,36 +336,32 @@ def _cv_block_scores(shard: tuple) -> tuple[np.ndarray, np.ndarray]:
     batch = scales[-1]
     outer = list(itertools.product(*scales[:-1]))
     g = batch.size
-    steps = _cv_steps(table, g)
-    size = max(step * cell.events.size for step, cell in zip(steps, table))
+    size = max((hi - lo) * table[k].events.size for k, lo, hi in blocks)
     d2_work = np.empty((n_cont, size))
     outer_work = np.empty((2, size)) if n_cont > 1 else None
     factors = np.empty(g * size)
     weights = np.empty_like(factors) if n_cont > 1 else factors
-    totals_work = np.empty(g * max(step * cell.events.shape[1] for step, cell in zip(steps, table)))
+    totals_work = np.empty(g * max((hi - lo) * table[k].events.shape[1] for k, lo, hi in blocks))
     offsets_work = np.empty_like(totals_work)
-    mass_work = np.empty(g * max(steps))
+    mass_work = np.empty(g * max(hi - lo for _, lo, hi in blocks))
     resid_work = np.empty_like(mass_work)
     sums = np.empty((len(blocks), len(outer), g))
-    masses = np.empty_like(sums)
+    has_mass = np.zeros((len(outer), g), dtype=bool)
     laid_out = None
     with np.errstate(over="ignore"):
-        for b, (k, lo) in enumerate(blocks):
+        for b, (k, lo, hi) in enumerate(blocks):
             cell = table[k]
-            n = cell.x.shape[1]
             width, chunks = cell.events.shape
-            hi = min(lo + steps[k], n)
             m = hi - lo
             r = g * m
-            if laid_out != (k, m):
+            if laid_out != (k, m, lo % m):
                 # Positions of each row's own slot, start slot and start
-                # chunk, for this block and any later blocks of m rows of
-                # the cell; a shard's first block of a cell need not be the
-                # cell's first.
-                laid_out, first = (k, m), lo
-                own_at = _block_positions(_slot(np.arange(lo, n), width, chunks), m, chunks, 1)
-                start_at = _block_positions(cell.start[lo:], m, chunks, g)
-                chunk_at = _block_positions(cell.start[lo:] % chunks, m, chunks, g)
+                # chunk, for this block and every block of m rows of the
+                # cell that starts a multiple of m rows from it.
+                laid_out, first = (k, m, lo % m), lo % m
+                own_at = _block_positions(_slot(np.arange(first, cell.x.shape[1]), width, chunks), m, chunks, 1)
+                start_at = _block_positions(cell.start[first:], m, chunks, g)
+                chunk_at = _block_positions(cell.start[first:] % chunks, m, chunks, g)
                 batch_at = (np.arange(g) * (m * chunks))[:, None]
             rows = slice(lo - first, hi - first)
             # Contiguous views, so a partial last block reshapes freely.
@@ -442,8 +413,8 @@ def _cv_block_scores(shard: tuple) -> tuple[np.ndarray, np.ndarray]:
                     a_small = a[:, small] / mass[small, None]
                     resid[small] = np.einsum("krj,krj,kj->r", a_small, a_small, cell.events)
                 resid.reshape(g, m).sum(axis=1, out=sums[b, o])
-                mass.reshape(g, m).max(axis=1, out=masses[b, o])
-    return sums.reshape(len(blocks), -1), masses.reshape(len(blocks), -1)
+                has_mass[o] |= mass.reshape(g, m).max(axis=1) > 0.0
+    return sums.reshape(len(blocks), -1), has_mass.reshape(-1)
 
 
 def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
@@ -469,10 +440,12 @@ def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
     mass (rows of mass below 2^-200 divide first, so nothing underflows).
     Subjects in different discrete cells have weight 0, so each cell of n_k
     subjects is scored on its own and the cost is O(sum_k n_k^2); no pair
-    across cells is formed.  This is the one-candidate case of the scan
-    :func:`cv_bandwidth` makes.  Memory is O(n) beyond a few blocks of rows
-    of about 1.5 MiB each, held by each worker process where a large scan
-    fans out (see :func:`cv_bandwidth`).
+    across cells is formed.  The blocks' sums are added exactly rounded
+    (:func:`math.fsum`), so the score does not depend on how the rows are
+    cut or where the blocks are scored.  This is the one-candidate case of
+    the scan :func:`cv_bandwidth` makes.  Memory is O(n) beyond a few
+    blocks of rows of about 1.5 MiB each, held by each worker process where
+    a large scan fans out (see :func:`cv_bandwidth`).
     """
     _check_bandwidth(b, ds.meta)
     return float(_cv_scores(_cv_table(ds), list(b.h[:, None]))[0])
@@ -488,7 +461,8 @@ def cv_bandwidth(ds: SurvivalDataset, grid: np.ndarray | None = None) -> Bandwid
     The criterion smooths with the Gaussian reference kernel (see
     :func:`cv_criterion`); the returned bandwidth is meant to feed the
     compact-support product kernel of the estimators.  The criterion is
-    deterministic.
+    deterministic, and the first candidate of least finite score, in
+    :func:`itertools.product` order, is selected.
 
     The bandwidth-free part of the criterion (time order, discrete cells,
     each cell's sorted covariates) is built once.  All candidates are then
@@ -510,9 +484,9 @@ def cv_bandwidth(ds: SurvivalDataset, grid: np.ndarray | None = None) -> Bandwid
     CPU this process may run on, when this process is not itself a worker
     and the multiprocessing start method is fork; the workers take runs of
     consecutive blocks, costliest first, as each is free, and every worker
-    is joined before the call returns.  The block totals are summed in one
-    fixed order either way, so the selected bandwidth is the same for any
-    worker count (see :func:`_cv_scores`).
+    is joined before the call returns.  Each score is the exactly rounded
+    sum of its block totals either way, so the selected bandwidth is the
+    same for any worker count (see :func:`_cv_scores`).
     Memory is O(K + n) for K candidates beyond a few blocks of about
     1.5 MiB each (one row of G candidates where that is larger: 1.8 MiB at
     n = 8000, G = 30), in each worker and in this process.
@@ -529,12 +503,7 @@ def cv_bandwidth(ds: SurvivalDataset, grid: np.ndarray | None = None) -> Bandwid
 
     n_cont = ds.meta.n_continuous
     scores = _cv_scores(table, [grid] * n_cont)
-    best: tuple[float, ...] | None = None
-    best_score = np.inf
-    for combo, score in zip(itertools.product(grid, repeat=n_cont), scores):
-        if score < best_score:
-            best_score = score
-            best = combo
-    if best is None or not np.isfinite(best_score):
+    best = int(np.argmin(np.where(np.isfinite(scores), scores, np.inf)))  # the first of a tie
+    if not np.isfinite(scores[best]):
         raise ConfigurationError("cross-validation criterion is degenerate on this grid")
-    return Bandwidth(np.minimum(np.asarray(best), DEFAULT_CAP))
+    return Bandwidth(np.minimum(grid[list(np.unravel_index(best, (grid.size,) * n_cont))], DEFAULT_CAP))

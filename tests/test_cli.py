@@ -109,6 +109,16 @@ class TestFit:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["abc", "0.5,"])
+    def test_malformed_bandwidth_exits_one(self, data_csv, tmp_path, capsys, value):
+        # A typed error line that names the flag, not a traceback.
+        code = main(["fit", "--input", data_csv, *SCHEMA, "--bandwidth", value, "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigurationError" and "--bandwidth" in error["message"]
+
     def test_missing_flag_exits_two(self, data_csv):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--input", data_csv, "--status", "status"])

@@ -70,6 +70,17 @@ class TestLoadCsv:
         with pytest.raises(SchemaError, match="age"):
             load_csv(path, CsvSchema(time="time", status="status", x_continuous=("age",)))
 
+    def test_repeated_column_is_schema_error(self, tmp_path):
+        # Two x1 columns: neither may be read silently in place of the other.
+        path = write_file(tmp_path, "time,status,x1,x1\n1,1,0.5,9\n2,0,0.7,8\n")
+        with pytest.raises(SchemaError, match="x1"):
+            load_csv(path, CsvSchema(time="time", status="status", x_continuous=("x1",)))
+
+    def test_repeated_unused_column_is_ignored(self, tmp_path):
+        path = write_file(tmp_path, "time,status,note,x1,note\n1,1,a,0.5,b\n2,0,c,0.7,d\n")
+        ds = load_csv(path, CsvSchema(time="time", status="status", x_continuous=("x1",)))
+        assert list(ds.x[:, 1]) == [0.5, 0.7]
+
     def test_non_numeric_cell_names_row(self, tmp_path):
         path = write_file(tmp_path, "time,status,age\n1,1,50\n2,0,fifty\n")
         with pytest.raises(ParseError, match="row 2"):

@@ -369,8 +369,35 @@ def batched_cases(rng):
     return cases
 
 
+def blockwise_scores(table, grids):
+    """Each cell cut into blocks of ``_cv_block_rows`` rows, every block
+    scored alone, and each candidate's block sums added by ``math.fsum``."""
+    g = grids[-1].size
+    sums, has_mass = [], False
+    for k, cell in enumerate(table):
+        n, step = cell.x.shape[1], kernels._cv_block_rows(g * cell.events.size)
+        for lo in range(0, n, step):
+            block_sums, mass = kernels._cv_block_scores((table, grids, [(k, lo, min(lo + step, n))]))
+            sums.append(block_sums[0])
+            has_mass = has_mass | mass
+    totals = np.array([math.fsum(column) for column in zip(*sums)])
+    return np.where(has_mass, totals, np.inf)
+
+
 class TestBatchedScores:
     """``_cv_scores`` scores a product grid in batches; each score is the per-candidate criterion."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    @pytest.mark.parametrize("case", range(8))
+    def test_exact_sum_of_blocks_scored_alone(self, rng, monkeypatch, case, rows):
+        # The scan's scores are, bit for bit, the exactly rounded sums of
+        # each block's own sums; no block's sums depend on its neighbours.
+        name, ds, values = batched_cases(rng)[case]
+        grid = np.asarray(values)
+        if rows is not None:
+            monkeypatch.setattr(kernels, "_CV_BLOCK_BYTES", 8 * largest_span(ds) * grid.size * rows)
+        table, grids = kernels._cv_table(ds), [grid] * ds.meta.n_continuous
+        assert np.array_equal(kernels._cv_scores(table, grids), blockwise_scores(table, grids)), name
 
     @pytest.mark.parametrize("rows", [1, 7])
     @pytest.mark.parametrize("case", range(8))
@@ -468,7 +495,7 @@ class TestFanOut:
         assert len(sizes) == 4 and sizes[-1] > 1.5 * sizes[0]
         return ds
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("rows", [None, 1, 7])
     @pytest.mark.parametrize("case", [0, 5])
     def test_identical_for_any_worker_count(self, rng, monkeypatch, case, rows, workers):
@@ -476,12 +503,15 @@ class TestFanOut:
         # than one block at the default size.  Blocks of 1 and 7 rows split
         # every cell across shards, so a shard's first block of a cell is
         # not the cell's first, and 7 ends most cells on a partial block.
+        # One run per worker, 8 and 64 cut the blocks differently each time.
         name, ds, values = hostile_kernel_cases(rng)[case]
         if rows is not None:
             monkeypatch.setattr(kernels, "_CV_BLOCK_BYTES", 8 * largest_span(ds) * len(values) * rows)
         table, grids = kernels._cv_table(ds), [np.asarray(values)] * ds.meta.n_continuous
-        serial = self.scores(table, grids, monkeypatch, 1)
-        assert np.array_equal(self.scores(table, grids, monkeypatch, workers), serial), name
+        expected = blockwise_scores(table, grids)
+        for runs in (1, 8, 64):
+            monkeypatch.setattr(kernels, "_CV_RUNS_PER_WORKER", runs)
+            assert np.array_equal(self.scores(table, grids, monkeypatch, workers), expected), (name, runs)
 
     @pytest.mark.parametrize("rows", [None, 5])
     def test_unequal_cells_identical(self, monkeypatch, rows):
@@ -491,7 +521,10 @@ class TestFanOut:
             monkeypatch.setattr(kernels, "_CV_BLOCK_BYTES", 8 * largest_span(ds) * grid.size * rows)
         table = kernels._cv_table(ds)
         serial = self.scores(table, [grid] * 2, monkeypatch, 1)
-        assert np.array_equal(self.scores(table, [grid] * 2, monkeypatch, 2), serial)
+        assert np.array_equal(serial, blockwise_scores(table, [grid] * 2))
+        for workers, runs in itertools.product((2, 3), (1, 8, 64)):
+            monkeypatch.setattr(kernels, "_CV_RUNS_PER_WORKER", runs)
+            assert np.array_equal(self.scores(table, [grid] * 2, monkeypatch, workers), serial), (workers, runs)
         selected = cv_bandwidth(ds, grid=grid)
         monkeypatch.setattr(kernels, "_free_workers", lambda: 1)
         assert np.array_equal(cv_bandwidth(ds, grid=grid).h, selected.h)

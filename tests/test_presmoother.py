@@ -10,7 +10,7 @@ from smoothcure import (
     kaplan_meier,
     presmooth_all,
 )
-from smoothcure import kernels, presmoother
+from smoothcure import presmoother
 from smoothcure.kernels import kernel_weight_matrix
 
 from conftest import build_dataset, hostile_kernel_cases, random_dataset
@@ -51,7 +51,8 @@ class TestDirectFormulaOracle:
         # The weights are built a block of query rows at a time; blocks of 1
         # and of 7 rows (most cases end on a partial block) change nothing.
         name, ds, values = hostile_kernel_cases(rng)[case]
-        monkeypatch.setattr(kernels, "_BLOCK_BYTES", 8 * ds.n * rows)
+        monkeypatch.setattr(presmoother, "_BLOCK_BYTES", 8 * ds.n * rows)
+        assert presmoother._block_rows(ds.n) == rows
         for h in values:
             b = Bandwidth(np.full(ds.meta.n_continuous, h))
             got = presmooth_all(ds, b)
