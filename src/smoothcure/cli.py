@@ -4,7 +4,12 @@ Structured results go to JSON, tabular artifacts to CSV.  Every output file
 embeds the tool version, a hash of the invocation configuration and the
 seed, so any artifact can be traced back to the exact command that made it;
 only simulate and bootstrap draw and take --seed, the others record the default.
-Exit codes: 0 success, 1 numerical or convergence failure, 2 usage error.
+
+Exit codes: 0 on success.  1 on any typed package error, malformed flag
+values, missing or repeated columns and unknown scenario keys included,
+each printed as one JSON line on stderr; ``fit`` also exits 1 when an
+estimator does not converge.  2 on argparse usage errors and on an
+``OSError`` reading or writing a file.
 """
 
 from __future__ import annotations
@@ -100,16 +105,19 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _fit_options(args: argparse.Namespace, method: str) -> dict:
+    """The fitter's options from the flags.  With ``--method both`` the
+    bandwidth flags go to the presmoothing fit only; a lone ``mle`` gets
+    them too, and :func:`fit_cure_model` refuses them."""
     options = {"tol": args.latency_tol, "max_iter": args.latency_max_iter}
-    if method == "mle":
+    if method == "mle" and args.method == "both":
         return options
-    if args.bandwidth:
+    if args.bandwidth is not None:
         try:
             h = np.array([float(v) for v in args.bandwidth.split(",")])
         except ValueError as exc:
             raise ConfigurationError(f"--bandwidth expects a comma list of numbers, got {args.bandwidth!r}") from exc
         options["bandwidth"] = Bandwidth(h)
-    if args.bandwidth_grid:
+    if args.bandwidth_grid is not None:
         try:
             lo, hi, num = args.bandwidth_grid.split(":")
             options["grid"] = default_grid(float(lo), float(hi), int(num))
@@ -133,10 +141,20 @@ def _fit_block(fit: CureModelFit, names: tuple[str, ...]) -> dict:
     return block
 
 
+def _prefixed(path: str, prefix: str) -> str:
+    """``path`` with ``prefix`` put in front of its file name."""
+    from os.path import join, split
+
+    head, name = split(path)
+    return join(head, prefix + name)
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
     ds = load_csv(args.input, _schema_from_args(args))
     names = ds.param_names
     methods = METHODS if args.method == "both" else (args.method,)
+    if args.dump_pihat is not None and "presmooth" not in methods:
+        raise ConfigurationError("--dump-pihat needs a presmoothing fit; --method mle presmooths nothing")
     provenance = _provenance(args)
     report = dict(provenance)
     report["estimates"] = []
@@ -144,8 +162,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     for method in methods:
         fit = fit_cure_model(ds, method, **_fit_options(args, method))
         block = _fit_block(fit, names)
-        if args.lambda_out:
-            path = args.lambda_out if len(methods) == 1 else f"{method}_{args.lambda_out}"
+        if args.lambda_out is not None:
+            path = args.lambda_out if len(methods) == 1 else _prefixed(args.lambda_out, f"{method}_")
             _write_csv(
                 path,
                 ["time", "cumulative_hazard"],
@@ -153,7 +171,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                 provenance,
             )
             block["lambda_csv"] = path
-        if args.dump_pihat and fit.pihat is not None:
+        if args.dump_pihat is not None and fit.pihat is not None:
             _write_csv(
                 args.dump_pihat,
                 ["index", "pihat"],

@@ -92,13 +92,6 @@ def fit_incidence(pihat: np.ndarray, x: np.ndarray, init: np.ndarray | None = No
         raise SingularHessianError(f"need more subjects than parameters (n={n}, p={p})")
     if np.linalg.matrix_rank(x) < p:
         raise SingularHessianError("incidence design matrix is rank deficient")
-    return _newton_incidence(pihat, x, init)
-
-
-def _newton_incidence(pihat: np.ndarray, x: np.ndarray, init: np.ndarray | None = None) -> NewtonResult:
-    """:func:`fit_incidence` without its input checks, for a caller that
-    refits on the same float design matrix ``x`` it has already checked."""
-    n, p = x.shape
     objective, derivatives = _soft_label(pihat, x)
     res = damped_newton(objective, derivatives, np.zeros(p) if init is None else init, TOL, MAX_ITER)
     # Only a vanished score is checked for a maximum at infinity.

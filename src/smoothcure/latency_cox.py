@@ -341,7 +341,7 @@ class LatencyFit:
 def em_iterates(
     ds: SurvivalDataset,
     gamma: np.ndarray,
-    incidence_step: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, bool]] | None,
+    incidence_step: Callable[[np.ndarray, np.ndarray], NewtonResult] | None,
     tol: float,
     max_iter: int,
 ) -> Iterator[LatencyFit]:
@@ -349,9 +349,9 @@ def em_iterates(
 
     The start (pass 0) pairs ``gamma`` with the fit that ignores the cured
     fraction.  Each pass takes the expected susceptibility weights of the
-    current state, updates the incidence by ``incidence_step(weights,
-    gamma)`` (new coefficients and whether that update converged; ``None``
-    holds gamma fixed), maximizes the weighted partial likelihood and
+    current state, updates the incidence to ``incidence_step(weights,
+    gamma).x``, whose ``converged`` flag joins the pass's (``None`` holds
+    gamma fixed), maximizes the weighted partial likelihood and
     refreshes the baseline hazard.  The passes stop once the largest change
     (coefficients in max-norm, hazard across jump times) drops below
     ``tol``, or after ``max_iter`` passes.  A stalled update only counts as
@@ -380,7 +380,8 @@ def em_iterates(
         if incidence_step is None:
             new_gamma, incidence_converged = gamma, True
         else:
-            new_gamma, incidence_converged = incidence_step(state.weights, gamma)
+            inc = incidence_step(state.weights, gamma)
+            new_gamma, incidence_converged = inc.x, inc.converged
             phi = expit(t.x @ new_gamma)
         pf = _partial_fit(ds, w, beta)
         risk = np.exp(t.z @ pf.x)

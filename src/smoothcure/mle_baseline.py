@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SurvivalDataset
-from .incidence import _newton_incidence, fit_incidence
+from .incidence import fit_incidence
 from .latency_cox import EM_MAX_ITER, EM_TOL, LatencyFit, StepFunction, _at_subject_times, _loglik, em_iterates
 from .newton import NewtonResult
 
@@ -73,24 +73,18 @@ def fit_mle_em(ds: SurvivalDataset, tol: float = EM_TOL, max_iter: int = EM_MAX_
     plateau-censored subjects cured and everyone else susceptible, plus the
     no-cure partial-likelihood and Breslow fits, and runs
     :func:`smoothcure.latency_cox.em_iterates` with the incidence refitted
-    on every pass by the same Newton without the start fit's input checks.
-    Stops when the largest parameter change (coefficients in max-norm,
-    hazard across jump times) drops below ``tol``; hitting ``max_iter``
-    returns ``converged=False`` with the estimates reached.  Each state's
-    ``loglik`` is attached as the trace for audit; it is nondecreasing by
-    the EM construction.
+    on every pass by :func:`fit_incidence` on the soft labels 1 - w, from
+    the previous pass's coefficients.  Stops when the largest parameter
+    change (coefficients in max-norm, hazard across jump times) drops
+    below ``tol``; hitting ``max_iter`` returns ``converged=False`` with
+    the estimates reached.  Each state's ``loglik`` is attached as the
+    trace for audit; it is nondecreasing by the EM construction.
     """
     cured = np.empty(ds.n)
     cured[ds._time_order.order] = ds._time_order.plateau
     gamma = fit_incidence(cured, ds.x).x
-
-    def refit_incidence(weights, gamma):
-        # The start fit above checked ds.x; the refits skip its rank check.
-        inc = _newton_incidence(1.0 - weights, ds.x, init=gamma)
-        return inc.x, inc.converged
-
     path = []
-    for state in em_iterates(ds, gamma, refit_incidence, tol, max_iter):
+    for state in em_iterates(ds, gamma, lambda w, g: fit_incidence(1.0 - w, ds.x, init=g), tol, max_iter):
         path.append(state.loglik)
     return CureModelFit(
         gamma=state.gamma,

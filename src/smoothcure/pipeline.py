@@ -37,7 +37,11 @@ def fit_presmoothing(
     runs, under the same stop rule ``tol``/``max_iter``.  Reported incidence
     coefficients are mapped back to the original covariate scale; the
     log-likelihood is the EM's final state's, which standardizing leaves as is.
+    A ``grid`` given with a ``bandwidth`` is a :class:`ConfigurationError`:
+    a fixed bandwidth runs no cross-validation to search it.
     """
+    if bandwidth is not None and grid is not None:
+        raise ConfigurationError("give a bandwidth or a cross-validation grid, not both")
     ds_std = standardize_continuous(ds)
     if bandwidth is None:
         bandwidth = cv_bandwidth(ds_std, grid=grid) if ds.meta.n_continuous else Bandwidth(np.empty(0))

@@ -96,8 +96,16 @@ class SimulationScenario:
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
     """The counter-based stream of ``seed`` under ``key``: (replication,
-    purpose) for a generated dataset, (replicate,) for a bootstrap resample."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+    purpose) for a generated dataset, (replicate,) for a bootstrap resample.
+    A seed or key that is not a non-negative integer is a
+    :class:`ConfigurationError`."""
+    try:
+        seeds = np.random.SeedSequence(seed, spawn_key=key)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"a seed and its stream key must be non-negative integers, got seed={seed!r}, key={key!r}"
+        ) from exc
+    return np.random.Generator(np.random.Philox(seeds))
 
 
 def truncated_weibull_ph_sample(rho, mu, linpred, tau0, u, no_jump: bool = False):
@@ -162,6 +170,11 @@ def generate(scenario: SimulationScenario, seed: int, replication: int = 0) -> S
         scenario.model, n, _rng(seed, replication, _COVARIATES)
     )
     x = np.column_stack([np.ones(n), x_raw])
+    if len(scenario.gamma) != x.shape[1] or len(scenario.beta) != z.shape[1]:
+        raise ConfigurationError(
+            f"model {scenario.model!r} needs {x.shape[1]} incidence coefficients (intercept first) and "
+            f"{z.shape[1]} latency coefficients, got {len(scenario.gamma)} and {len(scenario.beta)}"
+        )
 
     phi = expit(x @ np.asarray(scenario.gamma))
     uncured = _rng(seed, replication, _CURE).random(n) < phi

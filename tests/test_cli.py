@@ -102,14 +102,15 @@ class TestFit:
         bw = read_report(out)["estimates"][0]["bandwidth"][0]
         assert 0.3 <= bw <= 1.5
 
-    def test_malformed_bandwidth_grid_exits_one(self, data_csv, tmp_path):
+    @pytest.mark.parametrize("value", ["nope", ""])
+    def test_malformed_bandwidth_grid_exits_one(self, data_csv, tmp_path, value):
         code = main(
-            ["fit", "--input", data_csv, *SCHEMA, "--bandwidth-grid", "nope",
+            ["fit", "--input", data_csv, *SCHEMA, "--bandwidth-grid", value,
              "--out", str(tmp_path / "x.json")]
         )
         assert code == 1
 
-    @pytest.mark.parametrize("value", ["abc", "0.5,"])
+    @pytest.mark.parametrize("value", ["abc", "0.5,", ""])
     def test_malformed_bandwidth_exits_one(self, data_csv, tmp_path, capsys, value):
         # A typed error line that names the flag, not a traceback.
         code = main(["fit", "--input", data_csv, *SCHEMA, "--bandwidth", value, "--out", str(tmp_path / "x.json")])
@@ -118,6 +119,49 @@ class TestFit:
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"] == "ConfigurationError" and "--bandwidth" in error["message"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--bandwidth", "0.4", "--bandwidth-grid", "0.1:1:5"],
+            ["--method", "mle", "--bandwidth", "0.5"],
+            ["--method", "mle", "--bandwidth-grid", "0.1:1:5"],
+            ["--method", "mle", "--dump-pihat", "pihat.csv"],
+        ],
+        ids=["bandwidth-and-grid", "mle-bandwidth", "mle-grid", "mle-dump-pihat"],
+    )
+    def test_unused_fit_input_exits_one(self, data_csv, tmp_path, capsys, monkeypatch, flags):
+        # A flag the requested fit would drop is refused, and nothing is written.
+        monkeypatch.chdir(tmp_path)
+        code = main(["fit", "--input", data_csv, *SCHEMA, *flags, "--out", "x.json"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigurationError"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_both_sends_bandwidth_to_presmoothing_only(self, data_csv, tmp_path):
+        out = tmp_path / "both.json"
+        code = main(["fit", "--input", data_csv, *SCHEMA, "--method", "both", "--bandwidth", "0.5",
+                     "--out", str(out)])
+        assert code == 0
+        presmooth, mle = read_report(out)["estimates"]
+        assert presmooth["bandwidth"] == [0.5] and "bandwidth" not in mle
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_lambda_out_prefix_goes_on_the_file_name(self, data_csv, tmp_path, monkeypatch, absolute):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        target = tmp_path / "sub" / "hazard.csv" if absolute else Path("sub", "hazard.csv")
+        out = tmp_path / "both.json"
+        code = main(["fit", "--input", data_csv, *SCHEMA, "--method", "both", "--lambda-out", str(target),
+                     "--out", str(out)])
+        assert code == 0
+        blocks = read_report(out)["estimates"]
+        for block in blocks:
+            path = target.with_name(f"{block['method']}_hazard.csv")
+            assert block["lambda_csv"] == str(path)
+            assert len(read_artifact_csv(path)) > 10
+        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == ["mle_hazard.csv", "presmooth_hazard.csv"]
 
     def test_missing_flag_exits_two(self, data_csv):
         with pytest.raises(SystemExit) as exc:
@@ -297,3 +341,16 @@ class TestSeedFlag:
         with pytest.raises(SystemExit) as exc:
             main([command, *inputs, *SCHEMA, "--seed", "5", "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "bootstrap"])
+    def test_negative_seed_exits_one(self, command, data_csv, tmp_path, capsys):
+        # One JSON error line, no traceback and no artifact.
+        inputs = (["--key", "m1/s1/c1", "--n", "60", "--reps", "10"] if command == "simulate"
+                  else ["--input", data_csv, *SCHEMA, "--B", "4"])
+        out = tmp_path / "out.csv"
+        code = main([command, *inputs, "--seed", "-5", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigurationError" and "seed=-5" in error["message"]

@@ -278,6 +278,11 @@ class TestBootstrap:
         with pytest.raises(InferenceError):
             bootstrap_se(ds, B=3, seed=1)
 
+    def test_negative_seed_is_typed(self):
+        ds = generate(make_scenario("m1/s1/c1", n=60), seed=6)
+        with pytest.raises(ConfigurationError, match="seed=-1"):
+            bootstrap_se(ds, B=4, seed=-1)
+
     def test_needs_two_replicates(self, rng):
         ds = build_dataset([1, 2, 3], [1, 0, 1], z_cols=[[0.0, 0.1, 0.2]])
         with pytest.raises(InferenceError):
@@ -311,6 +316,11 @@ class TestFitOptions:
     def test_bootstrap_rejects_unknown_option(self, ds):
         with pytest.raises(ConfigurationError):
             bootstrap_se(ds, B=2, bogus=1)
+
+    def test_bandwidth_and_grid_are_exclusive(self, ds):
+        # A fixed bandwidth runs no cross-validation, so a grid beside it would be ignored.
+        with pytest.raises(ConfigurationError):
+            fit_presmoothing(ds, bandwidth=Bandwidth(np.array([0.4])), grid=np.array([0.1, 0.5, 1.0]))
 
     def test_stop_rule_reaches_the_latency_em(self, ds):
         assert fit_presmoothing(ds, max_iter=1).latency.iterations == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import smoothcure.mle_baseline as mle_baseline
 from smoothcure import (
     CureModelError,
     SingularHessianError,
@@ -106,20 +107,27 @@ class TestFitMleEm:
         inc = fit_incidence(1.0 - w, ds.x, init=gamma)
         assert inc.converged
 
-    def test_incidence_rank_checked_once(self, monkeypatch):
-        # Every pass refits the incidence on the same x; only the start fit
-        # checks its rank.
+    def test_incidence_rank_checked_every_pass(self, monkeypatch):
+        # The start fit and every pass's refit are one fit_incidence call
+        # each, and every call checks the rank of ds.x.
         ds = generate(make_scenario("m1/s1/c1", n=200), seed=31)
-        real = np.linalg.matrix_rank
-        checked = []
+        real_rank, real_fit = np.linalg.matrix_rank, mle_baseline.fit_incidence
+        checks, fits = [0], []
 
-        def counted(a, *args, **kwargs):
-            checked.append(a is ds.x)
-            return real(a, *args, **kwargs)
+        def counted_rank(a, *args, **kwargs):
+            checks[0] += a is ds.x
+            return real_rank(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+        def counted_fit(*args, **kwargs):
+            before = checks[0]
+            out = real_fit(*args, **kwargs)
+            fits.append(checks[0] - before)
+            return out
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
+        monkeypatch.setattr(mle_baseline, "fit_incidence", counted_fit)
         fit = fit_mle_em(ds)
-        assert fit.iterations > 1 and checked.count(True) == 1
+        assert fit.iterations > 1 and fits == [1] * (fit.iterations + 1)
 
     def test_rank_deficient_incidence_rejected(self, rng):
         n = 20

@@ -70,6 +70,19 @@ class TestGenerate:
             assert np.all(ds.y[ds.delta == 1] <= s.tau0 + 1e-12)
             assert np.all(ds.x[:, 0] == 1.0)
 
+    @pytest.mark.parametrize("seed, replication", [(-5, 0), (1729, -1)])
+    def test_negative_seed_or_key_is_typed(self, seed, replication):
+        # The one seeded stream names what it was given, not numpy's bare ValueError.
+        with pytest.raises(ConfigurationError, match=f"seed={seed}"):
+            generate(make_scenario("m1/s1/c1", n=20), seed=seed, replication=replication)
+
+    @pytest.mark.parametrize("gamma, beta", [((1.0,), (1.0,)), ((1.0, 2.0), (1.0, 2.0))])
+    def test_coefficients_must_match_the_drawn_covariates(self, gamma, beta):
+        # Model 1 draws an intercept and one covariate for the incidence and one for the latency.
+        scenario = SimulationScenario(model="1", gamma=gamma, beta=beta, tau0=4.0, tau=6.0, lam_c=0.1)
+        with pytest.raises(ConfigurationError, match=f"needs 2 incidence .* and 1 latency .* got {len(gamma)} and {len(beta)}"):
+            generate(scenario, seed=1)
+
     def test_deterministic(self):
         s = make_scenario("m3/s1/c1", n=64)
         a = generate(s, seed=9, replication=2)
