@@ -308,7 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_boot.add_argument("--method", choices=METHODS, default="presmooth")
     p_boot.add_argument("--B", type=int, default=500)
     p_boot.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_boot.add_argument("--workers", type=int, default=1)
+    p_boot.add_argument(
+        "--workers", type=int, default=None,
+        help="worker processes for the refits (default: one per CPU above a minimum size, else 1)",
+    )
     p_boot.add_argument("--out", required=True)
     p_boot.set_defaults(func=cmd_bootstrap)
 

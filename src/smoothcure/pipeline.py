@@ -37,14 +37,17 @@ def fit_presmoothing(
     runs, under the same stop rule ``tol``/``max_iter``.  Reported incidence
     coefficients are mapped back to the original covariate scale; the
     log-likelihood is the EM's final state's, which standardizing leaves as is.
-    A ``grid`` given with a ``bandwidth`` is a :class:`ConfigurationError`:
-    a fixed bandwidth runs no cross-validation to search it.
+    A ``grid`` given with a ``bandwidth``, or on data with no continuous
+    incidence covariate, is a :class:`ConfigurationError`: no
+    cross-validation runs to search it.
     """
     if bandwidth is not None and grid is not None:
         raise ConfigurationError("give a bandwidth or a cross-validation grid, not both")
     ds_std = standardize_continuous(ds)
     if bandwidth is None:
-        bandwidth = cv_bandwidth(ds_std, grid=grid) if ds.meta.n_continuous else Bandwidth(np.empty(0))
+        # A grid with no continuous covariate to search is cv_bandwidth's error.
+        unsearched = not ds.meta.n_continuous and grid is None
+        bandwidth = Bandwidth(np.empty(0)) if unsearched else cv_bandwidth(ds_std, grid=grid)
     pihat = presmooth_all(ds_std, bandwidth)
     inc = fit_incidence(pihat, ds_std.x)
     lat = fit_latency(ds_std, inc.x, tol=tol, max_iter=max_iter)

@@ -383,9 +383,18 @@ def run_study(
     kept (they are real output, flagged) and the per-method failure counters
     are reported alongside; the trimmed moments drop the lowest and highest
     :data:`TRIM_FRACTION` of each coordinate independently.
+
+    The replications run over ``n_jobs`` worker processes, in this process
+    when it is 1 (the default); an ``n_jobs`` below 1 is a
+    :class:`ConfigurationError`.  Unlike :func:`~smoothcure.inference.bootstrap_se`,
+    a study does not fan out unasked: a caller that replaces a fitter in
+    this module, as the benchmark harness does to keep each fit, sees only
+    the fits made in this process.
     """
     if reps < 10:
         raise ConfigurationError(f"need at least 10 replications, got {reps}")
+    if n_jobs < 1:
+        raise ConfigurationError(f"need at least 1 worker, got n_jobs={n_jobs}")
     for method in methods:
         if method not in METHODS:
             raise ConfigurationError(f"unknown method {method!r}")

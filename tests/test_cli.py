@@ -110,6 +110,18 @@ class TestFit:
         )
         assert code == 1
 
+    def test_grid_without_continuous_covariate_exits_one(self, tmp_path, capsys):
+        # An m3 draw loaded with its discrete incidence covariates only has
+        # no bandwidth to search for.
+        path = tmp_path / "m3.csv"
+        write_csv(generate(make_scenario("m3/s1/c1", n=120), seed=5), path)
+        out = tmp_path / "x.json"
+        code = main(["fit", "--input", str(path), "--time", "time", "--status", "status",
+                     "--xdiscrete", "x2,x3", "--z", "x1", "--bandwidth-grid", "0.1:1:5", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigurationError"
+
     @pytest.mark.parametrize("value", ["abc", "0.5,", ""])
     def test_malformed_bandwidth_exits_one(self, data_csv, tmp_path, capsys, value):
         # A typed error line that names the flag, not a traceback.
@@ -255,6 +267,35 @@ class TestBootstrap:
         first = out.read_bytes()
         assert main(args) == 0
         assert out.read_bytes() == first
+
+
+class TestWorkersFlag:
+    @pytest.mark.parametrize("command, workers", [("simulate", "-1"), ("bootstrap", "0")])
+    def test_fewer_than_one_exits_one(self, command, workers, data_csv, tmp_path, capsys):
+        # One JSON error line, no traceback and no artifact.
+        inputs = (["--key", "m1/s1/c1", "--n", "60", "--reps", "10"] if command == "simulate"
+                  else ["--input", data_csv, *SCHEMA, "--B", "4"])
+        out = tmp_path / "out.csv"
+        code = main([command, *inputs, "--workers", workers, "--out", str(out)])
+        assert code == 1 and not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigurationError" and f"n_jobs={workers}" in error["message"]
+
+    def test_bootstrap_defaults_to_the_library_rule(self, data_csv, tmp_path, monkeypatch):
+        # Without --workers the bootstrap leaves the worker count to bootstrap_se.
+        seen = []
+
+        def bootstrap_se(ds, **kwargs):
+            seen.append(kwargs["n_jobs"])
+            raise CureModelError("stop before fitting")
+
+        monkeypatch.setattr(cli, "bootstrap_se", bootstrap_se)
+        args = ["bootstrap", "--input", data_csv, *SCHEMA, "--B", "4", "--out", str(tmp_path / "b.csv")]
+        assert main(args) == 1
+        assert main([*args, "--workers", "2"]) == 1
+        assert seen == [None, 2]
 
 
 class TestPredict:

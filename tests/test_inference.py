@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from scipy.special import expit
 
 import smoothcure.inference as inference
 from smoothcure import (
+    DEFAULT_SEED,
     ConfigurationError,
+    CovariateMeta,
     CureModelFit,
     InferenceError,
     StepFunction,
@@ -19,8 +22,10 @@ from smoothcure import (
     make_scenario,
     prediction_error,
     resample_indices,
+    run_study,
     wald_test,
 )
+from smoothcure.fanout import _fan_out
 from smoothcure.kernels import Bandwidth
 from smoothcure.pipeline import METHODS, fit_cure_model
 from smoothcure.simulate import generate
@@ -289,6 +294,82 @@ class TestBootstrap:
             bootstrap_se(ds, B=1, seed=1)
 
 
+def _fan_out_spy(calls):
+    """``inference._fan_out``, recording each call's ``n_jobs`` in ``calls``."""
+    fan_out = inference._fan_out
+
+    def spy(replicate, tasks, n_jobs):
+        calls.append(n_jobs)
+        return fan_out(replicate, tasks, n_jobs)
+
+    return spy
+
+
+def _bootstrap_workers_in_a_worker(ds):
+    """The worker count a bootstrap started inside a fan-out worker passes
+    on to its own fan-out (the patch lives and dies with the worker)."""
+    seen = []
+    inference._fan_out = _fan_out_spy(seen)
+    bootstrap_se(ds, method="mle", B=2, seed=1)
+    return seen
+
+
+class TestWorkers:
+    """By default the refits fan out from a measured size up, with the same results."""
+
+    BANDWIDTH = Bandwidth(np.array([0.2613]))
+
+    @staticmethod
+    def spy(monkeypatch):
+        calls = []
+        monkeypatch.setattr(inference, "_fan_out", _fan_out_spy(calls))
+        return calls
+
+    @staticmethod
+    def m3(n):
+        return generate(make_scenario("m3/s1/c1", n=n), DEFAULT_SEED, 0)
+
+    def test_default_threshold_decides(self, monkeypatch):
+        # Without a patched threshold, 16 refits at n = 1000 fan out and
+        # 2 refits at n = 120 do not.
+        calls = self.spy(monkeypatch)
+        monkeypatch.setattr(inference, "_free_workers", lambda: 2)
+        bootstrap_se(self.m3(1000), B=16, bandwidth=self.BANDWIDTH)
+        bootstrap_se(self.m3(120), B=2, bandwidth=self.BANDWIDTH)
+        assert calls == [2, 1]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_default_matches_serial(self, monkeypatch, method):
+        ds = self.m3(120)
+        assert 17 * ds.n >= inference._BOOT_FAN_OUT_SUBJECTS
+        calls = self.spy(monkeypatch)
+        monkeypatch.setattr(inference, "_free_workers", lambda: 2)
+        fanned = bootstrap_se(ds, method=method, B=16, seed=5)
+        assert multiprocessing.active_children() == []
+        serial = bootstrap_se(ds, method=method, B=16, seed=5, n_jobs=1)
+        assert calls == [2, 1]
+        assert np.array_equal(fanned.estimates, serial.estimates)
+        assert np.array_equal(fanned.se, serial.se)
+        assert fanned.failures == serial.failures
+
+    def test_no_second_fan_out_inside_a_worker(self, monkeypatch):
+        monkeypatch.setattr(inference, "_BOOT_FAN_OUT_SUBJECTS", 0)
+        assert _fan_out(_bootstrap_workers_in_a_worker, [self.m3(60)], 2) == [[1]]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_fewer_than_one_worker_is_typed(self, monkeypatch, n_jobs):
+        # Refused before any fitting.
+        def fit_cure_model(ds, method, **options):
+            raise AssertionError("fitted before checking n_jobs")
+
+        monkeypatch.setattr(inference, "fit_cure_model", fit_cure_model)
+        with pytest.raises(ConfigurationError, match=f"n_jobs={n_jobs}"):
+            bootstrap_se(self.m3(60), B=4, n_jobs=n_jobs)
+        with pytest.raises(ConfigurationError, match=f"n_jobs={n_jobs}"):
+            run_study(make_scenario("m1/s1/c1", n=60), reps=10, n_jobs=n_jobs)
+
+
 class TestFitOptions:
     # Both methods share one option set; anything else is a typed error,
     # raised before any fitting, whichever entry point passes it on.
@@ -321,6 +402,19 @@ class TestFitOptions:
         # A fixed bandwidth runs no cross-validation, so a grid beside it would be ignored.
         with pytest.raises(ConfigurationError):
             fit_presmoothing(ds, bandwidth=Bandwidth(np.array([0.4])), grid=np.array([0.1, 0.5, 1.0]))
+
+    def test_grid_needs_a_continuous_covariate(self):
+        # An m3 draw cut to its discrete incidence covariates has no
+        # bandwidth to select, so a grid is refused, not dropped.
+        ds = generate(make_scenario("m3/s1/c1", n=120), seed=5)
+        keep = [j for j, discrete in enumerate(ds.meta.discrete) if discrete]
+        meta = CovariateMeta(tuple(ds.meta.names[j] for j in keep), (True,) * len(keep))
+        cut = SurvivalDataset(ds.y, ds.delta, ds.x[:, [0, *(j + 1 for j in keep)]], ds.z, meta,
+                              z_names=ds.z_names)
+        assert cut.meta.n_continuous == 0 and len(keep) == 2
+        with pytest.raises(ConfigurationError, match="continuous"):
+            fit_presmoothing(cut, grid=np.array([0.1, 0.5]))
+        assert fit_presmoothing(cut).bandwidth.size == 0
 
     def test_stop_rule_reaches_the_latency_em(self, ds):
         assert fit_presmoothing(ds, max_iter=1).latency.iterations == 1
