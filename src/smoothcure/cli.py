@@ -8,8 +8,9 @@ only simulate and bootstrap draw and take --seed, the others record the default.
 Exit codes: 0 on success.  1 on any typed package error, malformed flag
 values, missing or repeated columns and unknown scenario keys included,
 each printed as one JSON line on stderr; ``fit`` also exits 1 when an
-estimator does not converge.  2 on argparse usage errors and on an
-``OSError`` reading or writing a file.
+estimator does not converge, and ``bootstrap`` (an ``InferenceError``) when
+the full-data fit does not or fewer than 2 refits do.  2 on argparse usage
+errors and on an ``OSError`` reading or writing a file.
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_boot.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_boot.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes for the refits (default: one per CPU above a minimum size, else 1)",
+        help="worker processes for the refits (default: one per CPU, at most B/2, above a minimum size, else 1)",
     )
     p_boot.add_argument("--out", required=True)
     p_boot.set_defaults(func=cmd_bootstrap)

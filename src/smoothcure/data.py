@@ -6,12 +6,17 @@ event (incidence) and always carries an intercept column of ones in front,
 while ``z`` drives the event-time distribution of the susceptible subjects
 (latency) and carries no intercept.  The two blocks may share columns.
 
+A row may stand for several subjects with identical data: its count (a
+bootstrap resample's multiplicity, say).  Every estimator weighs a counted
+row by its count, so a counted dataset gives the estimates of its expansion,
+each row repeated count times.
+
 Datasets are immutable after construction: all arrays are stored with the
 writeable flag cleared, so they can be shared freely across threads and
 worker processes.  The follow-up-time order that every estimator walks is
 sorted once per dataset, on first use, and shared by all of them; so are the
-grouping of the subjects into discrete-covariate cells and the rank check of
-the latency covariates.
+grouping of the subjects into discrete-covariate cells, each cell's order by
+the first continuous covariate and the rank check of the latency covariates.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateCovariateError, ParseError, SchemaError
+from .errors import ConfigurationError, DegenerateCovariateError, ParseError, SchemaError
 
 __all__ = [
     "CovariateMeta",
@@ -114,7 +119,10 @@ class _TimeOrder:
     value at that index there) and ``plateau`` marks the times beyond the
     last event time.  ``x`` and ``z`` hold the incidence and latency
     covariates in this order, and ``z_events`` the sum of z over the events,
-    taken in subject order.
+    taken in subject order.  With counts (see :class:`SurvivalDataset`),
+    ``event_counts`` and ``z_events`` weigh each row by its count, and
+    ``mass`` holds the counts in this order as floats; without, ``mass`` is
+    the scalar 1.0, so a product with it leaves every value as it is.
     """
 
     order: np.ndarray
@@ -129,6 +137,7 @@ class _TimeOrder:
     x: np.ndarray
     z: np.ndarray
     z_events: np.ndarray
+    mass: np.ndarray | float
 
 
 @dataclass(frozen=True)
@@ -138,12 +147,15 @@ class _Cells:
     Two subjects share a cell when every discrete covariate compares equal;
     with no discrete covariates all subjects share one cell.  ``keys[k]``
     holds cell k's discrete values and ``positions[k]`` its subjects' sorted
-    positions in the dataset's time order, ascending.  Cells come in
-    lexicographic order of their keys.
+    positions in the dataset's time order, ascending; ``sweep[k]`` holds the
+    same positions ordered by the first continuous covariate (stably, so
+    ties keep the time order), or as ``positions[k]`` without one.  Cells
+    come in lexicographic order of their keys.
     """
 
     keys: np.ndarray
     positions: tuple[np.ndarray, ...]
+    sweep: tuple[np.ndarray, ...]
 
     def of(self, values: np.ndarray) -> np.ndarray:
         """Cell index of each row of discrete ``values``, -1 where no cell matches."""
@@ -156,7 +168,17 @@ class _Cells:
 
 @dataclass(frozen=True)
 class SurvivalDataset:
-    """Immutable container of (y, delta, x, z) rows plus covariate metadata."""
+    """Immutable container of (y, delta, x, z) rows plus covariate metadata.
+
+    ``counts``, when given, holds one positive integer per row: the number
+    of subjects the row stands for.  ``None``, the default, means one per
+    row and stores no array.  ``n`` is the number of rows and
+    ``n_subjects`` the number of subjects, the sum of the counts.  Every
+    estimator weighs a row by its count, so a counted dataset gives the
+    estimates of its expansion (each row repeated count times), up to
+    rounding.  A count of 0, a negative, fractional or non-finite count and
+    a ``counts`` of the wrong length are a :class:`ParseError`.
+    """
 
     y: np.ndarray
     delta: np.ndarray
@@ -164,6 +186,7 @@ class SurvivalDataset:
     z: np.ndarray
     meta: CovariateMeta
     z_names: tuple[str, ...] = ()
+    counts: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         y = np.asarray(self.y, dtype=float)
@@ -196,10 +219,21 @@ class SurvivalDataset:
         object.__setattr__(self, "delta", _readonly(delta))
         object.__setattr__(self, "x", _readonly(x))
         object.__setattr__(self, "z", _readonly(z))
+        if self.counts is not None:
+            object.__setattr__(self, "counts", _readonly(_checked_counts(self.counts, n)))
 
     @property
     def n(self) -> int:
         return self.y.shape[0]
+
+    @property
+    def n_subjects(self) -> int:
+        return self.n if self.counts is None else int(np.sum(self.counts))
+
+    @cached_property
+    def _mass(self) -> np.ndarray | float:
+        """The counts as floats in subject order, or the scalar 1.0 without counts."""
+        return 1.0 if self.counts is None else _readonly(self.counts.astype(float))
 
     @property
     def p(self) -> int:
@@ -232,9 +266,13 @@ class SurvivalDataset:
         event = self.delta[order] == 1
         first = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
         sizes = np.diff(first, append=self.n)
-        events = np.add.reduceat(self.delta[order], first)
+        counted = self.delta if self.counts is None else self.delta * self.counts
+        events = np.add.reduceat(counted[order], first)
         has = events > 0
         last = (first + sizes - 1)[has]
+        z_events = self.z[self.delta == 1]
+        if self.counts is not None:
+            z_events = z_events * self._mass[self.delta == 1, None]
         return _TimeOrder(
             order=_readonly(order),
             start=_readonly(np.repeat(first, sizes)),
@@ -247,42 +285,82 @@ class SurvivalDataset:
             plateau=_readonly(np.arange(self.n) > last[-1]),
             x=_readonly(self.x[order]),
             z=_readonly(self.z[order]),
-            z_events=_readonly(np.sum(self.z[self.delta == 1], axis=0)),
+            z_events=_readonly(np.sum(z_events, axis=0)),
+            mass=1.0 if self.counts is None else _readonly(self._mass[order]),
         )
 
     @cached_property
     def _cells(self) -> _Cells:
         """The discrete-covariate cells, grouped once on first use and then shared."""
-        disc = self._time_order.x[:, self.meta.discrete_columns()]
+        t = self._time_order
+        disc = t.x[:, self.meta.discrete_columns()]
         if disc.shape[1] == 0:
-            return _Cells(keys=_readonly(np.empty((1, 0))), positions=(_readonly(np.arange(self.n)),))
-        # A stable sort by the first column, then the second, ...; a cell
-        # starts wherever a column differs from the row before (!=, so -0.0
-        # joins 0.0).
-        positions = np.lexsort(disc.T[::-1])
-        rows = disc[positions]
-        starts = np.flatnonzero(np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1))))
+            keys, positions = np.empty((1, 0)), [np.arange(self.n)]
+        else:
+            # A stable sort by the first column, then the second, ...; a
+            # cell starts wherever a column differs from the row before
+            # (!=, so -0.0 joins 0.0).
+            order = np.lexsort(disc.T[::-1])
+            rows = disc[order]
+            starts = np.flatnonzero(np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1))))
+            keys, positions = rows[starts], np.split(order, starts[1:])
+        cont = self.meta.continuous_columns()
+        sweep = positions
+        if cont.size:
+            sweep = [p[t.x[p, cont[0]].argsort(kind="stable")] for p in positions]
         return _Cells(
-            keys=_readonly(rows[starts]),
-            positions=tuple(_readonly(p) for p in np.split(positions, starts[1:])),
+            keys=_readonly(keys),
+            positions=tuple(_readonly(p) for p in positions),
+            sweep=tuple(_readonly(p) for p in sweep),
         )
 
     @cached_property
     def _z_full_rank(self) -> bool:
         """Whether the centred latency covariates have full column rank."""
-        return bool(np.linalg.matrix_rank(self.z - self.z.mean(axis=0)) == self.q)
+        centre = self.z.mean(axis=0) if self.counts is None else self._mass @ self.z / self.n_subjects
+        return bool(np.linalg.matrix_rank(self.z - centre) == self.q)
 
     def take(self, indices) -> "SurvivalDataset":
-        """Row subset (e.g. a bootstrap resample), on the stored scale.
+        """Row subset, on the stored scale: row i of the result is row
+        ``indices[i]``, with its count where the dataset has counts.  A row
+        taken twice is two rows.
 
         Standardization parameters are dropped because they no longer
         describe the subset; re-standardize before kernel work.
         """
         idx = np.asarray(indices, dtype=int)
+        return self._rows(idx, None if self.counts is None else self.counts[idx])
+
+    def _rows(self, idx: np.ndarray, counts: np.ndarray | None) -> "SurvivalDataset":
+        """Rows ``idx`` with the given counts, standardization dropped."""
         meta = replace(self.meta, means=None, sds=None)
         return SurvivalDataset(
-            self.y[idx], self.delta[idx], self.x[idx], self.z[idx], meta, self.z_names
+            self.y[idx], self.delta[idx], self.x[idx], self.z[idx], meta, self.z_names, counts
         )
+
+    def _expanded(self) -> "SurvivalDataset":
+        """Each row repeated count times, with no counts and the same metadata."""
+        if self.counts is None:
+            return self
+        idx = np.repeat(np.arange(self.n), self.counts)
+        return SurvivalDataset(self.y[idx], self.delta[idx], self.x[idx], self.z[idx], self.meta, self.z_names)
+
+
+def _checked_counts(counts, n: int) -> np.ndarray:
+    """``counts`` as an int64 array of n positive integers, or a :class:`ParseError`."""
+    counts = np.asarray(counts)
+    if counts.shape != (n,):
+        raise ParseError(f"counts must hold one entry per row: shape {counts.shape} for {n} rows")
+    if counts.dtype.kind not in "iuf":
+        raise ParseError(f"counts must be numbers, got dtype {counts.dtype}")
+    with np.errstate(invalid="ignore"):
+        bad = ~(np.isfinite(counts) & (counts >= 1) & (counts == np.round(counts)))
+    if np.any(bad):
+        i = int(np.flatnonzero(bad)[0])
+        raise ParseError(f"row {i + 1}: count must be a positive integer, got {counts[i]}")
+    counts = counts.astype(np.int64)
+    counts.setflags(write=False)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -381,8 +459,11 @@ def write_csv(ds: SurvivalDataset, path, time: str = "time", status: str = "stat
 
     Raises :class:`SchemaError` where a column would be lost: a latency
     column without a name, or two columns that share a name but not their
-    values.
+    values.  A dataset with counts is a :class:`ConfigurationError`: the
+    file has no column to hold them.
     """
+    if ds.counts is not None:
+        raise ConfigurationError("a dataset with counts has no CSV form; the file has no count column")
     if ds.q and not ds.z_names:
         raise SchemaError(f"latency covariate column 0 of {ds.q} has no name to write it under")
     columns: dict[str, np.ndarray] = {}
@@ -402,13 +483,17 @@ def write_csv(ds: SurvivalDataset, path, time: str = "time", status: str = "stat
 def standardize_continuous(ds: SurvivalDataset) -> SurvivalDataset:
     """Center and scale the continuous incidence covariates.
 
-    Uses the sample standard deviation (denominator n - 1); any fixed
-    convention works because bandwidths are selected after standardization.
-    Discrete columns and the intercept pass through untouched; the returned
-    dataset's ``meta`` records (mean, sd) per column so estimates can be
-    mapped back to the original scale with :func:`destandardize_gamma`.
+    Uses the sample mean and standard deviation (denominator n - 1) over
+    the subjects, each row weighed by its count; any fixed convention works
+    because bandwidths are selected after standardization.  Without counts
+    the moments are those of ``np.mean`` and ``np.std(ddof=1)``, bit for
+    bit.  Discrete columns and the intercept pass through untouched; the
+    returned dataset's ``meta`` records (mean, sd) per column so estimates
+    can be mapped back to the original scale with
+    :func:`destandardize_gamma`.
     """
     x = np.array(ds.x)
+    weight, total = ds._mass, ds.n_subjects
     means = []
     sds = []
     for j, (name, is_discrete) in enumerate(zip(ds.meta.names, ds.meta.discrete)):
@@ -417,8 +502,9 @@ def standardize_continuous(ds: SurvivalDataset) -> SurvivalDataset:
             means.append(0.0)
             sds.append(1.0)
             continue
-        m = float(np.mean(x[:, col]))
-        s = float(np.std(x[:, col], ddof=1))
+        m = float(np.sum(weight * x[:, col]) / total)
+        dev = x[:, col] - m
+        s = math.sqrt(np.sum(weight * (dev * dev)) / (total - 1))
         if not s > 0.0:
             raise DegenerateCovariateError(
                 f"continuous covariate {name!r} is constant and cannot be standardized"
@@ -427,7 +513,7 @@ def standardize_continuous(ds: SurvivalDataset) -> SurvivalDataset:
         means.append(m)
         sds.append(s)
     meta = replace(ds.meta, means=tuple(means), sds=tuple(sds))
-    return SurvivalDataset(ds.y, ds.delta, x, ds.z, meta, ds.z_names)
+    return SurvivalDataset(ds.y, ds.delta, x, ds.z, meta, ds.z_names, ds.counts)
 
 
 def destandardize_gamma(gamma: np.ndarray, meta: CovariateMeta) -> np.ndarray:

@@ -30,26 +30,28 @@ def _log_phi_pair(eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -np.logaddexp(0.0, -eta), -np.logaddexp(0.0, eta)
 
 
-def _soft_label(pihat: np.ndarray, x: np.ndarray):
+def _soft_label(pihat: np.ndarray, x: np.ndarray, mass: np.ndarray | float = 1.0):
     """Objective and derivatives of the soft-label log-likelihood, in the
     form :func:`smoothcure.newton.damped_newton` takes them.
 
-    The objective is the sum over subjects of (1-pihat) log(phi) +
-    pihat log(1-phi) with phi = expit(x'gamma); the score is the sum of
-    (label - phi) times the covariate row and the information the
-    phi(1-phi)-weighted Gram matrix of x.  Terms with a zero coefficient
-    contribute zero even when the paired log is -inf in the limit; both
-    logs stay finite for finite linear predictors, so no masking is needed.
+    The objective is the sum over rows of mass times ((1-pihat) log(phi) +
+    pihat log(1-phi)) with phi = expit(x'gamma), ``mass`` being the rows'
+    counts (the scalar 1.0 for one each); the score is the sum of mass
+    times (label - phi) times the covariate row and the information the
+    mass phi(1-phi)-weighted Gram matrix of x.  Terms with a zero
+    coefficient contribute zero even when the paired log is -inf in the
+    limit; both logs stay finite for finite linear predictors, so no
+    masking is needed.
     """
     label = 1.0 - pihat
 
     def objective(gamma):
         log_phi, log_1m = _log_phi_pair(x @ gamma)
-        return float(np.sum(label * log_phi + pihat * log_1m))
+        return float(np.sum(mass * (label * log_phi + pihat * log_1m)))
 
     def derivatives(gamma):
         phi = expit(x @ gamma)
-        return x.T @ (label - phi), lambda: (x * (phi * (1.0 - phi))[:, None]).T @ x
+        return x.T @ (mass * (label - phi)), lambda: (x * (mass * (phi * (1.0 - phi)))[:, None]).T @ x
 
     return objective, derivatives
 
@@ -68,8 +70,14 @@ TOL = 1e-8
 MAX_ITER = 100
 
 
-def fit_incidence(pihat: np.ndarray, x: np.ndarray, init: np.ndarray | None = None) -> NewtonResult:
+def fit_incidence(
+    pihat: np.ndarray, x: np.ndarray, init: np.ndarray | None = None, counts: np.ndarray | None = None
+) -> NewtonResult:
     """Maximize the soft-label log-likelihood by damped Newton-Raphson.
+
+    ``counts``, one positive integer per row of x (a counted dataset's
+    ``counts``), weighs each row's term by the subjects it stands for;
+    ``None`` weighs each row once.  The subject count n below is their sum.
 
     Convergence means the max-norm of the score dropped below :data:`TOL` at
     a genuine interior maximum: fits whose linear predictor saturated at
@@ -83,16 +91,20 @@ def fit_incidence(pihat: np.ndarray, x: np.ndarray, init: np.ndarray | None = No
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     pihat = np.asarray(pihat, dtype=float)
-    n, p = x.shape
-    if pihat.shape != (n,):
+    rows, p = x.shape
+    if pihat.shape != (rows,):
         raise ValueError("pihat must have one entry per row of x")
     if np.any(pihat < 0.0) or np.any(pihat > 1.0):
         raise ValueError("pihat entries must lie in [0, 1]")
+    mass = 1.0 if counts is None else np.asarray(counts, dtype=float)
+    if counts is not None and mass.shape != (rows,):
+        raise ValueError("counts must have one entry per row of x")
+    n = rows if counts is None else int(np.sum(counts))
     if p >= n:
         raise SingularHessianError(f"need more subjects than parameters (n={n}, p={p})")
     if np.linalg.matrix_rank(x) < p:
         raise SingularHessianError("incidence design matrix is rank deficient")
-    objective, derivatives = _soft_label(pihat, x)
+    objective, derivatives = _soft_label(pihat, x, mass)
     res = damped_newton(objective, derivatives, np.zeros(p) if init is None else init, TOL, MAX_ITER)
     # Only a vanished score is checked for a maximum at infinity.
     if res.converged and not (

@@ -217,6 +217,9 @@ def _chunk_major(values: np.ndarray, pad: float) -> np.ndarray:
 def _cv_table(ds: SurvivalDataset) -> tuple[_CvCell, ...]:
     if ds.meta.n_continuous == 0:
         raise ConfigurationError("no continuous covariates to select a bandwidth for")
+    # A counted row is scored as its copies, so the leave-one-out rule
+    # leaves out one subject, not the row.
+    ds = ds._expanded()
     t = ds._time_order
     x = t.x[:, ds.meta.continuous_columns()]
     # before[k]: event-time positions before sorted position k.
@@ -443,7 +446,8 @@ def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
     across cells is formed.  The blocks' sums are added exactly rounded
     (:func:`math.fsum`), so the score does not depend on how the rows are
     cut or where the blocks are scored.  This is the one-candidate case of
-    the scan :func:`cv_bandwidth` makes.  Memory is O(n) beyond a few
+    the scan :func:`cv_bandwidth` makes.  A dataset with counts is scored
+    as its expansion, each row repeated count times.  Memory is O(n) beyond a few
     blocks of rows of about 1.5 MiB each, held by each worker process where
     a large scan fans out (see :func:`cv_bandwidth`).
     """
@@ -477,7 +481,10 @@ def cv_bandwidth(ds: SurvivalDataset, grid: np.ndarray | None = None) -> Bandwid
     of the chunk totals; the residuals are divided by the row masses after
     they are summed (see :func:`_cv_block_scores`).  Only pairs within a
     cell are formed, so time is O(sum_k n_k^2) per candidate for cells of
-    n_k subjects, O(n^2) without discrete covariates.
+    n_k subjects, O(n^2) without discrete covariates.  A dataset with counts
+    (a bootstrap resample's, say) is scored as its expansion, each row
+    repeated count times, so the leave-one-out rule leaves out one subject
+    and n counts subjects.
 
     A scan of at least ten million pair-candidates (sum_k n_k^2 times the
     number of candidates) scores its blocks in worker processes, one per

@@ -13,7 +13,9 @@ The two-step estimator runs this loop with its incidence coefficients held
 fixed (:func:`fit_latency`); the joint EM of :mod:`smoothcure.mle_baseline`
 runs the same loop and also refits the incidence between a) and b).
 
-Events always carry weight one.  The zero-tail convention forces the
+Events always carry weight one, and a counted row (see
+:class:`smoothcure.data.SurvivalDataset`) enters every sum as its count
+times its weight, its events as many events.  The zero-tail convention forces the
 susceptible survival to zero beyond the largest event time, so censored
 subjects in the plateau get weight zero and drop out of every risk-set sum.
 Ties follow the Breslow convention: every event at a time t sees the same
@@ -121,20 +123,23 @@ def _log_survival(cumhaz: np.ndarray, risk: np.ndarray, beyond: np.ndarray) -> n
 
 def _loglik(
     x: np.ndarray, z: np.ndarray, event: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-    cumhaz: np.ndarray, jumps: np.ndarray, beyond: np.ndarray,
+    cumhaz: np.ndarray, jumps: np.ndarray, beyond: np.ndarray, mass: np.ndarray | float,
 ) -> float:
     """:func:`smoothcure.mle_baseline.observed_loglik` from the covariate rows
-    and event flags, Lambda(Y) per row, Lambda's jump at each event's time
-    and the zero-tail flags, in any one order of the subjects.  A jump that
-    is not positive gives -inf."""
+    and event flags, Lambda(Y) per row, Lambda's jump at each event's time,
+    the zero-tail flags and the rows' counts (the scalar 1.0 for one each),
+    in any one order of the subjects: the count-weighted mean of the rows'
+    terms.  A jump that is not positive gives -inf."""
     if np.any(jumps <= 0.0):
         return float("-inf")
     log_phi, log_1m = _log_phi_pair(x @ np.asarray(gamma, dtype=float))
     eta = z @ np.asarray(beta, dtype=float)
     log_s_u = _log_survival(cumhaz, np.exp(eta), beyond)
+    mass = np.broadcast_to(mass, event.shape)
     event_terms = log_phi[event] + np.log(jumps) + eta[event] + log_s_u[event]
     censored_terms = np.logaddexp(log_1m[~event], log_phi[~event] + log_s_u[~event])
-    return float((np.sum(event_terms) + np.sum(censored_terms)) / event.size)
+    total = np.sum(event_terms * mass[event]) + np.sum(censored_terms * mass[~event])
+    return float(total / np.sum(mass))
 
 
 def _at_subject_times(ds: SurvivalDataset, Lambda: StepFunction) -> tuple[np.ndarray, np.ndarray]:
@@ -264,13 +269,15 @@ def weighted_partial_fit(
     """Newton maximization of the weight-adjusted log partial likelihood.
 
     Each event contributes beta'Z_i minus the log of the weighted risk-set
-    sum at its own time (Breslow ties).  The sums are formed in the
+    sum at its own time (Breslow ties); a counted row weighs as its count
+    times its weight.  The sums are formed in the
     dataset's time order at the distinct event times, in the
     counting-process form of :func:`_partial_likelihood`.  The estimate is
     the result's ``x``; the Newton stops on a score max-norm below
     :data:`NEWTON_TOL` or after :data:`NEWTON_MAX_ITER` steps.
     """
-    return _partial_fit(ds, np.asarray(weights, dtype=float)[ds._time_order.order], init)
+    t = ds._time_order
+    return _partial_fit(ds, np.asarray(weights, dtype=float)[t.order] * t.mass, init)
 
 
 def _breslow_cumhaz(t: _TimeOrder, r: np.ndarray) -> np.ndarray:
@@ -290,10 +297,11 @@ def breslow_update(ds: SurvivalDataset, weights: np.ndarray, beta: np.ndarray) -
     """Baseline cumulative hazard with one jump per distinct event time.
 
     The jump at t is the number of events at t divided by the weighted
-    risk-set sum of e^{beta'z} over {j : Y_j >= t}.
+    risk-set sum of e^{beta'z} over {j : Y_j >= t}; a counted row weighs as
+    its count times its weight, and its events count as many times.
     """
     t = ds._time_order
-    r = np.asarray(weights, dtype=float) * np.exp(ds.z @ np.asarray(beta, dtype=float))
+    r = np.asarray(weights, dtype=float) * ds._mass * np.exp(ds.z @ np.asarray(beta, dtype=float))
     return StepFunction(t.event_times, _breslow_cumhaz(t, r[t.order]))
 
 
@@ -335,7 +343,7 @@ class LatencyFit:
         t = self.t
         jumps = np.diff(self.cumhaz, prepend=0.0)[t.hazard_index[t.event] - 1]
         cumhaz = _at_own_times(t, self.cumhaz)
-        return _loglik(t.x, t.z, t.event, self.gamma, self.beta, cumhaz, jumps, t.plateau)
+        return _loglik(t.x, t.z, t.event, self.gamma, self.beta, cumhaz, jumps, t.plateau, t.mass)
 
 
 def em_iterates(
@@ -365,9 +373,9 @@ def em_iterates(
     log-likelihood is its ``loglik``.
     """
     t = ds._time_order
-    beta = _partial_fit(ds, np.ones(ds.n), None).x
+    beta = _partial_fit(ds, np.ones(ds.n) * t.mass, None).x
     risk = np.exp(t.z @ beta)
-    cumhaz = _breslow_cumhaz(t, risk)
+    cumhaz = _breslow_cumhaz(t, t.mass * risk)
     phi = expit(t.x @ gamma)
     iterations, settled, converged = 0, False, False
     while True:
@@ -383,9 +391,10 @@ def em_iterates(
             inc = incidence_step(state.weights, gamma)
             new_gamma, incidence_converged = inc.x, inc.converged
             phi = expit(t.x @ new_gamma)
-        pf = _partial_fit(ds, w, beta)
+        counted = w * t.mass
+        pf = _partial_fit(ds, counted, beta)
         risk = np.exp(t.z @ pf.x)
-        new_cumhaz = _breslow_cumhaz(t, w * risk)
+        new_cumhaz = _breslow_cumhaz(t, counted * risk)
         steps = [new_gamma - gamma, pf.x - beta, new_cumhaz - cumhaz]
         change = np.max(np.abs(np.concatenate(steps)))
         gamma, beta, cumhaz = new_gamma, pf.x, new_cumhaz

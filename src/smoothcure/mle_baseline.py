@@ -56,14 +56,15 @@ def observed_loglik(
     S_u(Y) = exp(-Lambda(Y) e^{beta'z}) is forced to zero beyond the last
     jump time of Lambda (the zero-tail rule).  The censored term is formed
     as logaddexp(log(1 - phi), log phi + log S_u), so a saturated phi
-    cannot round 1 - phi to zero.  An event time with no jump (or a
+    cannot round 1 - phi to zero.  A counted row's term weighs as its count,
+    and the mean is over subjects.  An event time with no jump (or a
     censored term with zero mass) yields a -inf sentinel rather than an
     exception.
     """
     events = ds.delta == 1
     # A Lambda with no jump times has no jump at an event either: -inf.
     cumhaz, beyond = _at_subject_times(ds, Lambda)
-    return _loglik(ds.x, ds.z, events, gamma, beta, cumhaz, Lambda.jump_at(ds.y[events]), beyond)
+    return _loglik(ds.x, ds.z, events, gamma, beta, cumhaz, Lambda.jump_at(ds.y[events]), beyond, ds._mass)
 
 
 def fit_mle_em(ds: SurvivalDataset, tol: float = EM_TOL, max_iter: int = EM_MAX_ITER) -> CureModelFit:
@@ -82,9 +83,11 @@ def fit_mle_em(ds: SurvivalDataset, tol: float = EM_TOL, max_iter: int = EM_MAX_
     """
     cured = np.empty(ds.n)
     cured[ds._time_order.order] = ds._time_order.plateau
-    gamma = fit_incidence(cured, ds.x).x
+    gamma = fit_incidence(cured, ds.x, counts=ds.counts).x
     path = []
-    for state in em_iterates(ds, gamma, lambda w, g: fit_incidence(1.0 - w, ds.x, init=g), tol, max_iter):
+    for state in em_iterates(
+        ds, gamma, lambda w, g: fit_incidence(1.0 - w, ds.x, init=g, counts=ds.counts), tol, max_iter
+    ):
         path.append(state.loglik)
     return CureModelFit(
         gamma=state.gamma,

@@ -11,11 +11,14 @@ from .latency_cox import StepFunction
 __all__ = ["kaplan_meier", "plateau_fraction"]
 
 
-def kaplan_meier(times: np.ndarray, deltas: np.ndarray) -> StepFunction:
+def kaplan_meier(times: np.ndarray, deltas: np.ndarray, counts: np.ndarray | None = None) -> StepFunction:
     """Product-limit survival estimate, ties aggregated, right-continuous.
 
     Returned as a step function with initial value 1 and one drop per
     distinct event time; with no events at all the curve is identically 1.
+    ``counts`` (a counted dataset's, say) weighs each entry by the subjects
+    it stands for, in the events and in the risk sets; ``None`` counts each
+    once.
     """
     times = np.asarray(times, dtype=float)
     deltas = np.asarray(deltas)
@@ -25,19 +28,25 @@ def kaplan_meier(times: np.ndarray, deltas: np.ndarray) -> StepFunction:
         raise NumericalError("times and deltas must have the same length")
     if not np.all((deltas == 0) | (deltas == 1)):
         raise NumericalError("deltas must be 0 or 1")
+    weights = np.ones(times.size, dtype=int) if counts is None else np.asarray(counts)
+    if weights.shape != times.shape:
+        raise NumericalError("counts must have one entry per time")
 
-    event_times, counts = np.unique(times[deltas == 1], return_counts=True)
-    sorted_times = np.sort(times)
-    at_risk = times.size - np.searchsorted(sorted_times, event_times, side="left")
-    survival = np.cumprod(1.0 - counts / at_risk)
+    event_times, at = np.unique(times[deltas == 1], return_inverse=True)
+    order = np.argsort(times, kind="stable")
+    # The subjects with time >= each event time: a running sum from the end.
+    at_risk = np.cumsum(weights[order][::-1])[::-1][np.searchsorted(times[order], event_times, side="left")]
+    survival = np.cumprod(1.0 - np.bincount(at, weights=weights[deltas == 1]) / at_risk)
     return StepFunction(event_times, survival, initial=1.0)
 
 
 def plateau_fraction(ds: SurvivalDataset) -> float:
-    """Fraction of subjects observed strictly beyond the last event time.
+    """Fraction of subjects observed strictly beyond the last event time,
+    a counted row counting as its count.
 
     These are necessarily censored; they form the flat tail of the
     Kaplan-Meier curve and are the observations the zero-tail constraint
     assigns to the cured group.
     """
-    return float(np.mean(ds._time_order.plateau))
+    t = ds._time_order
+    return float(np.sum(t.plateau * t.mass) / ds.n_subjects)

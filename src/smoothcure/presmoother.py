@@ -17,45 +17,67 @@ from .kernels import Bandwidth, _check_bandwidth, _continuous_weights
 
 __all__ = ["estimate_cure_prob", "presmooth_all"]
 
-# The weights are built a block of query rows at a time, about 256 KB of
-# doubles per buffer: every pass over a block stays in a core's private
-# cache, and no call allocates an n x n array (18 MB of doubles at
-# n = 1500, mapped afresh, page faults included, on every call).  At 1 MiB,
-# presmooth_all on m3 at n = 1000 measured slower.
-_BLOCK_BYTES = 1 << 18
+# The weights are built a block of query rows at a time, each block over
+# the columns inside its kernel support only (see :func:`_cure_probs`).
+# The query rows run in order of the first continuous covariate, so a block
+# of this many rows spans a short stretch of it.
+_BLOCK_ROWS = 64
 
 
-def _block_rows(n: int) -> int:
-    return max(1, _BLOCK_BYTES // (8 * n))
+def _support(x_data: np.ndarray, x_rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Which data rows may carry kernel weight at some query row.
+
+    A data row is dropped where, along some continuous covariate, its
+    scaled distance to the nearest query row exceeds 1 as
+    :func:`_continuous_weights` rounds it: floating-point subtraction and
+    division are monotone, so every query row then gives it a factor of
+    exactly 0.  Every row with weight lies inside, some with weight 0 too.
+    """
+    inside = np.ones(x_data.shape[0], dtype=bool)
+    for c, h_c in enumerate(h):
+        inside &= (x_data[:, c] - x_rows[:, c].max()) / h_c <= 1.0
+        inside &= (x_data[:, c] - x_rows[:, c].min()) / h_c >= -1.0
+    return inside
 
 
 def _cure_probs(ds: SurvivalDataset, x_query: np.ndarray, queries: list[np.ndarray], b: Bandwidth) -> np.ndarray:
     """Cure-probability estimates at the query rows, rows ``queries[k]`` from
-    the subjects of cell k only (see :func:`estimate_cure_prob`)."""
-    cells = ds._cells
+    the subjects of cell k only (see :func:`estimate_cure_prob`).
+
+    Each cell's query rows are taken :data:`_BLOCK_ROWS` at a time, in the
+    order given, and each block over the cell's columns inside its support
+    (:func:`_support`), still in reversed time order.  A dropped column
+    would add +0.0 to every running sum and a factor of exactly 1.0 to every
+    product, so the estimates are those over all of the cell's columns, bit
+    for bit.
+    """
     cont = ds.meta.continuous_columns()
     x_cont = x_query[:, cont]
     t = ds._time_order
-    steps = [_block_rows(p.size) for p in cells.positions]
+    blocks = []
+    for positions, cell_queries in zip(ds._cells.positions, queries):
+        data = positions[::-1]
+        x_data = t.x[data][:, cont]
+        for lo in range(0, cell_queries.size, _BLOCK_ROWS):
+            rows = cell_queries[lo : lo + _BLOCK_ROWS]
+            blocks.append((rows, data[_support(x_data, x_cont[rows], b.h)]))
     # One set of block buffers for the call, sized for the largest block.
-    size = max(min(step, q.size) * p.size for step, q, p in zip(steps, queries, cells.positions))
+    size = max((rows.size * cols.size for rows, cols in blocks), default=0)
     w_work, at_risk_work = np.empty(size), np.empty(size)
     k_work = np.empty(size) if cont.size > 1 else None
     out = np.empty(x_query.shape[0])
-    for positions, cell_queries, step in zip(cells.positions, queries, steps):
-        data = positions[::-1]
-        x_data, event_col = t.x[data][:, cont], t.event[data]
-        for lo in range(0, cell_queries.size, step):
-            rows = cell_queries[lo : lo + step]
-            shape, m = (rows.size, data.size), rows.size * data.size
-            work = None if k_work is None else k_work[:m].reshape(shape)
-            w = _continuous_weights(x_cont[rows], x_data, b.h, out=w_work[:m].reshape(shape), work=work)
-            at_risk = np.cumsum(w, axis=1, out=at_risk_work[:m].reshape(shape))
-            if np.any(at_risk[:, -1] <= 0.0):
-                raise EmptyNeighborhoodError("all kernel weights vanish at a query point")
-            np.divide(w, at_risk, out=w, where=at_risk > 0.0)
-            np.subtract(1.0, w, out=w)
-            out[rows] = np.prod(w, axis=1, where=event_col)
+    for rows, cols in blocks:
+        shape, m = (rows.size, cols.size), rows.size * cols.size
+        work = None if k_work is None else k_work[:m].reshape(shape)
+        w = _continuous_weights(x_cont[rows], t.x[cols][:, cont], b.h, out=w_work[:m].reshape(shape), work=work)
+        if ds.counts is not None:
+            w *= t.mass[cols]
+        at_risk = np.cumsum(w, axis=1, out=at_risk_work[:m].reshape(shape))
+        if cols.size == 0 or np.any(at_risk[:, -1] <= 0.0):
+            raise EmptyNeighborhoodError("all kernel weights vanish at a query point")
+        np.divide(w, at_risk, out=w, where=at_risk > 0.0)
+        np.subtract(1.0, w, out=w)
+        out[rows] = np.prod(w, axis=1, where=t.event[cols])
     return out
 
 
@@ -68,13 +90,20 @@ def estimate_cure_prob(ds: SurvivalDataset, x_query: np.ndarray, b: Bandwidth) -
     censored ties.  Each event column j then contributes the factor
     1 - w_j / S_j, where S_j is the running weight sum up to j; over the
     tied events of one time these telescope to 1 - (event mass) / (at-risk
-    mass).  The estimates are thus products along the rows of each cell's
-    weight matrix, with no table over the event times; it is built a block
-    of rows at a time, so only a few cache-sized blocks are in memory and a
-    cell of n_k subjects costs O(n_k) per query row.  Each factor lies in
-    [0, 1] exactly, since the running sum at j already contains w_j, and a
-    column with no mass up to it gives 1.  A query row whose cell holds no
-    subject, or whose kernel weights all vanish, raises
+    mass).  A counted row (see :class:`SurvivalDataset`) weighs as its
+    count times its kernel weight, m_j K_ij, which is the telescoped factor
+    of its copies.  The estimates are thus products along the rows of each
+    cell's weight matrix, with no table over the event times.  Only pairs
+    inside the kernel's support are formed: each cell's query rows are
+    taken in order of the first continuous covariate, 64 at a time, and
+    each block over the columns that can carry weight at one of its rows
+    (the Epanechnikov weight is exactly 0 beyond one bandwidth), still in
+    time order.  A dropped column would add +0.0 to each running sum and a
+    factor of 1.0 to each product, so the estimates are those over every
+    column, bit for bit; only a few small blocks are in memory.  Each factor
+    lies in [0, 1] exactly, since the running sum at j already contains
+    w_j, and a column with no mass up to it gives 1.  A query row whose cell
+    holds no subject, or whose kernel weights all vanish, raises
     :class:`EmptyNeighborhoodError`.
     """
     x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
@@ -83,6 +112,9 @@ def estimate_cure_prob(ds: SurvivalDataset, x_query: np.ndarray, b: Bandwidth) -
     if np.any(cell_of < 0):
         raise EmptyNeighborhoodError("no subject shares the discrete covariates of a query point")
     queries = [np.flatnonzero(cell_of == k) for k in range(len(ds._cells.positions))]
+    cont = ds.meta.continuous_columns()
+    if cont.size:
+        queries = [q[np.argsort(x_query[q, cont[0]], kind="stable")] for q in queries]
     return _cure_probs(ds, x_query, queries, b)
 
 
@@ -92,10 +124,15 @@ def presmooth_all(ds: SurvivalDataset, b: Bandwidth) -> np.ndarray:
     Evaluation at a sample point always has positive kernel mass (the point
     weights itself), so no neighborhood can be empty here, and each point's
     cell is the dataset's own.  The estimates are those of
-    :func:`estimate_cure_prob`, in O(sum_k n_k^2) time for discrete cells of
-    n_k subjects (O(n^2) without discrete covariates), for any number of
-    event times, and O(n) memory beyond a few fixed-size blocks.
+    :func:`estimate_cure_prob`, one per row: a counted row's value is that
+    of each of its copies in the expansion.  Each cell's rows run in the
+    order of the first continuous covariate that the dataset caches, so
+    each block of rows forms only the pairs inside the kernel's support:
+    at most O(sum_k n_k^2) time for discrete cells of n_k rows (O(n^2)
+    without discrete covariates), far less where the bandwidth is small
+    against the covariate's spread, for any number of event times, and
+    O(n) memory beyond a few small blocks.
     """
     _check_bandwidth(b, ds.meta)
     order = ds._time_order.order
-    return _cure_probs(ds, ds.x, [order[p] for p in ds._cells.positions], b)
+    return _cure_probs(ds, ds.x, [order[p] for p in ds._cells.sweep], b)

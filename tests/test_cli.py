@@ -268,6 +268,30 @@ class TestBootstrap:
         assert main(args) == 0
         assert out.read_bytes() == first
 
+    DEMO_SCHEMA = ["--time", "time", "--status", "status", "--x", "x1,x2", "--xdiscrete", "x3,x4",
+                   "--z", "x1,x3,x4"]
+
+    @pytest.mark.parametrize(
+        "replication, B, message",
+        [(15, "8", "did not converge"), (9, "3", "1 of 3 bootstrap refits converged")],
+        ids=["full-fit-not-converged", "one-refit-converged"],
+    )
+    def test_no_inference_exits_one(self, tmp_path, capsys, replication, B, message):
+        # demo/convergence at the default seed: replication 15's joint-EM
+        # fit does not converge (fit --method mle exits 1 on it too), and on
+        # replication 9 only 1 of 3 refits does.  Either ends in one JSON
+        # InferenceError line and no artifact.
+        data = tmp_path / "demo.csv"
+        write_csv(generate(make_scenario("demo/convergence"), DEFAULT_SEED, replication), data)
+        out = tmp_path / "boot.csv"
+        code = main(["bootstrap", "--input", str(data), *self.DEMO_SCHEMA, "--method", "mle",
+                     "--B", B, "--seed", "1", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "InferenceError" and message in error["message"]
+
 
 class TestWorkersFlag:
     @pytest.mark.parametrize("command, workers", [("simulate", "-1"), ("bootstrap", "0")])

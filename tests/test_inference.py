@@ -245,14 +245,27 @@ class TestBootstrap:
             assert serial.failures == parallel.failures
 
     def test_replayable_rows(self):
+        # Replicate r refits the draw resample_indices(21, r, n) as its
+        # distinct rows, counted as often as each was drawn: that replays
+        # bit for bit, and the row subset take(idx) of the same draw agrees
+        # up to rounding, with the same iterations and flags.
         ds = generate(make_scenario("m1/s1/c1", n=60), seed=8)
         res = bootstrap_se(ds, method="mle", B=6, seed=21)
-        replayed = []
+        replayed, taken = [], []
         for r in range(6):
-            fit = fit_cure_model(ds.take(resample_indices(21, r, ds.n)), "mle")
+            idx = resample_indices(21, r, ds.n)
+            counts = np.bincount(idx, minlength=ds.n)
+            rows = np.flatnonzero(counts)
+            counted = SurvivalDataset(ds.y[rows], ds.delta[rows], ds.x[rows], ds.z[rows], ds.meta,
+                                      ds.z_names, counts=counts[rows])
+            fit, subset = fit_cure_model(counted, "mle"), fit_cure_model(ds.take(idx), "mle")
+            assert (fit.converged, fit.iterations) == (subset.converged, subset.iterations)
             if fit.converged:
                 replayed.append(np.concatenate([fit.gamma, fit.beta]))
+                taken.append(np.concatenate([subset.gamma, subset.beta]))
         assert np.array_equal(res.estimates, np.vstack(replayed))
+        taken = np.vstack(taken)
+        assert np.all(np.abs(res.estimates - taken) <= 1e-12 * (1.0 + np.abs(taken)))
 
     def test_constant_estimator_gives_zero_se(self, monkeypatch):
         calls = {"n": 0}
@@ -293,6 +306,40 @@ class TestBootstrap:
         with pytest.raises(InferenceError):
             bootstrap_se(ds, B=1, seed=1)
 
+    def test_nonconverged_full_fit_is_refused(self, monkeypatch):
+        # demo/convergence replication 15: the full joint-EM fit does not
+        # converge, so there is no estimate to test; nothing is refitted.
+        ds = generate(make_scenario("demo/convergence"), DEFAULT_SEED, 15)
+        assert not fit_cure_model(ds, "mle").converged
+        calls = []
+        monkeypatch.setattr(inference, "_fan_out", _fan_out_spy(calls))
+        with pytest.raises(InferenceError, match="did not converge"):
+            bootstrap_se(ds, method="mle", B=8, seed=1, n_jobs=1)
+        assert calls == []
+
+    def test_one_surviving_refit_is_refused(self):
+        # demo/convergence replication 9: the full fit converges but only
+        # 1 of 3 refits does, which leaves no spread to measure.
+        ds = generate(make_scenario("demo/convergence"), DEFAULT_SEED, 9)
+        assert fit_cure_model(ds, "mle").converged
+        with pytest.raises(InferenceError, match="1 of 3"):
+            bootstrap_se(ds, method="mle", B=3, seed=1, n_jobs=1)
+
+    def test_one_surviving_stub_refit_is_refused(self, monkeypatch):
+        # The full fit and the first refit succeed, every other refit fails.
+        fits = iter([toy_fit([0.5], [1.0]), toy_fit([0.4], [1.1])])
+
+        def stub(ds, method, **kw):
+            fit = next(fits, None)
+            if fit is None:
+                raise InferenceError("refit failed")
+            return fit
+
+        monkeypatch.setattr(inference, "fit_cure_model", stub)
+        ds = build_dataset([1, 2, 3], [1, 0, 1], z_cols=[[0.0, 0.1, 0.2]])
+        with pytest.raises(InferenceError, match="1 of 4"):
+            bootstrap_se(ds, B=4, seed=1, n_jobs=1)
+
 
 def _fan_out_spy(calls):
     """``inference._fan_out``, recording each call's ``n_jobs`` in ``calls``."""
@@ -331,12 +378,15 @@ class TestWorkers:
 
     def test_default_threshold_decides(self, monkeypatch):
         # Without a patched threshold, 16 refits at n = 1000 fan out and
-        # 2 refits at n = 120 do not.
+        # 2 refits at n = 120 do not; nor do 2 refits at n = 1000, above the
+        # threshold, since each worker needs 2 refits.
         calls = self.spy(monkeypatch)
         monkeypatch.setattr(inference, "_free_workers", lambda: 2)
         bootstrap_se(self.m3(1000), B=16, bandwidth=self.BANDWIDTH)
         bootstrap_se(self.m3(120), B=2, bandwidth=self.BANDWIDTH)
-        assert calls == [2, 1]
+        assert 3 * 1000 >= inference._BOOT_FAN_OUT_SUBJECTS
+        bootstrap_se(self.m3(1000), B=2, bandwidth=self.BANDWIDTH)
+        assert calls == [2, 1, 1]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_default_matches_serial(self, monkeypatch, method):
@@ -354,7 +404,7 @@ class TestWorkers:
 
     def test_no_second_fan_out_inside_a_worker(self, monkeypatch):
         monkeypatch.setattr(inference, "_BOOT_FAN_OUT_SUBJECTS", 0)
-        assert _fan_out(_bootstrap_workers_in_a_worker, [self.m3(60)], 2) == [[1]]
+        assert _fan_out(_bootstrap_workers_in_a_worker, [self.m3(120)], 2) == [[1]]
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("n_jobs", [0, -3])

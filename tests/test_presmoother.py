@@ -10,8 +10,9 @@ from smoothcure import (
     kaplan_meier,
     presmooth_all,
 )
-from smoothcure import presmoother
-from smoothcure.kernels import kernel_weight_matrix
+from smoothcure import SurvivalDataset, generate, make_scenario, presmoother, resample_indices, standardize_continuous
+from smoothcure.kernels import _continuous_weights, kernel_weight_matrix
+from smoothcure.simulate import DEFAULT_SEED, SCENARIOS
 
 from conftest import build_dataset, hostile_kernel_cases, random_dataset
 
@@ -36,6 +37,75 @@ def direct_presmooth(ds, b):
     return np.clip(np.prod(np.clip(factors, 0.0, 1.0), axis=1), 0.0, 1.0)
 
 
+def dense_cure_probs(ds, x_query, b):
+    """Presmoothing over every column of each query row's cell, the code
+    that the support restriction replaced, kept as an oracle: the same
+    weights, running sums and products, with no column dropped."""
+    cont = ds.meta.continuous_columns()
+    t = ds._time_order
+    cell_of = ds._cells.of(x_query[:, ds.meta.discrete_columns()])
+    out = np.empty(x_query.shape[0])
+    for k, positions in enumerate(ds._cells.positions):
+        rows, data = np.flatnonzero(cell_of == k), positions[::-1]
+        w = _continuous_weights(x_query[rows][:, cont], t.x[data][:, cont], b.h)
+        if ds.counts is not None:
+            w *= t.mass[data]
+        at_risk = np.cumsum(w, axis=1)
+        np.divide(w, at_risk, out=w, where=at_risk > 0.0)
+        out[rows] = np.prod(1.0 - w, axis=1, where=t.event[data])
+    return out
+
+
+def counted_resample(ds, seed, r):
+    idx = resample_indices(seed, r, ds.n)
+    counts = np.bincount(idx, minlength=ds.n)
+    rows = np.flatnonzero(counts)
+    sub = ds.take(rows)
+    return SurvivalDataset(sub.y, sub.delta, sub.x, sub.z, sub.meta, sub.z_names, counts=counts[rows])
+
+
+class TestSupport:
+    """Presmoothing forms only the pairs inside the kernel's support, and
+    gives the estimates of every pair bit for bit."""
+
+    @pytest.mark.parametrize("h", [0.3, 1.0])
+    @pytest.mark.parametrize("key", sorted(SCENARIOS))
+    def test_registry_and_resamples_match_the_dense_oracle(self, key, h):
+        ds = generate(make_scenario(key), DEFAULT_SEED, 0)
+        b = Bandwidth(np.full(ds.meta.n_continuous, h))
+        draws = [ds, ds.take(resample_indices(7, 0, ds.n)), counted_resample(ds, 7, 1)]
+        for draw in map(standardize_continuous, draws):
+            assert np.array_equal(presmooth_all(draw, b), dense_cure_probs(draw, draw.x, b))
+            assert np.array_equal(estimate_cure_prob(draw, draw.x[::3], b), dense_cure_probs(draw, draw.x[::3], b))
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_hostile_cases_match_the_dense_oracle(self, rng, case):
+        name, ds, values = hostile_kernel_cases(rng)[case]
+        for h in values:
+            b = Bandwidth(np.full(ds.meta.n_continuous, h))
+            assert np.array_equal(presmooth_all(ds, b), dense_cure_probs(ds, ds.x, b)), (name, h)
+
+    def test_points_on_and_just_inside_the_support_edge(self):
+        # At h = 0.5 the point at 0.5 lies exactly h from the query at 0
+        # (weight exactly 0), and the one a few ulps inside -0.5 carries a
+        # weight near 1e-15 (h^-1 (3/4)(1 - u^2)); beyond them only points
+        # far away.  So the query's estimate rests on that one event alone.
+        inside = np.nextafter(np.nextafter(np.nextafter(-0.5, 0.0), 0.0), 0.0)
+        x = np.array([0.5, inside, 3.0, 3.1, -3.0])
+        ds = build_dataset([1.0, 2.0, 3.0, 1.5, 2.5], [1, 1, 0, 1, 0], x_cols=[x])
+        b = Bandwidth(np.array([0.5]))
+        weights = kernel_weight_matrix(np.array([[1.0, 0.0]]), ds.x, b, ds.meta)[0]
+        assert weights[0] == 0.0 and 0.0 < weights[1] < 1e-14
+        query = np.array([[1.0, 0.0], [1.0, 3.05]])
+        assert estimate_cure_prob(ds, query[:1], b)[0] == 0.0
+        assert np.array_equal(estimate_cure_prob(ds, query, b), dense_cure_probs(ds, query, b))
+        assert np.array_equal(presmooth_all(ds, b), dense_cure_probs(ds, ds.x, b))
+        # A query whose only neighbour in reach lies exactly h away has no
+        # kernel mass.
+        with pytest.raises(EmptyNeighborhoodError):
+            estimate_cure_prob(ds, np.array([[1.0, 1.0]]), b)
+
+
 class TestDirectFormulaOracle:
     @pytest.mark.parametrize("case", range(6))
     def test_presmooth_all(self, rng, case):
@@ -51,8 +121,7 @@ class TestDirectFormulaOracle:
         # The weights are built a block of query rows at a time; blocks of 1
         # and of 7 rows (most cases end on a partial block) change nothing.
         name, ds, values = hostile_kernel_cases(rng)[case]
-        monkeypatch.setattr(presmoother, "_BLOCK_BYTES", 8 * ds.n * rows)
-        assert presmoother._block_rows(ds.n) == rows
+        monkeypatch.setattr(presmoother, "_BLOCK_ROWS", rows)
         for h in values:
             b = Bandwidth(np.full(ds.meta.n_continuous, h))
             got = presmooth_all(ds, b)
@@ -73,7 +142,7 @@ class TestDirectFormulaOracle:
         # Each discrete cell's query rows run in blocks of exactly ``rows``
         # rows over that cell's subjects only.
         name, ds, values = hostile_kernel_cases(rng)[5]
-        monkeypatch.setattr(presmoother, "_block_rows", lambda n: rows)
+        monkeypatch.setattr(presmoother, "_BLOCK_ROWS", rows)
         for h in values:
             b = Bandwidth(np.full(ds.meta.n_continuous, h))
             got = presmooth_all(ds, b)
