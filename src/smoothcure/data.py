@@ -15,8 +15,8 @@ Datasets are immutable after construction: all arrays are stored with the
 writeable flag cleared, so they can be shared freely across threads and
 worker processes.  The follow-up-time order that every estimator walks is
 sorted once per dataset, on first use, and shared by all of them; so are the
-grouping of the subjects into discrete-covariate cells, each cell's order by
-the first continuous covariate and the rank check of the latency covariates.
+grouping of the subjects into discrete-covariate cells and the rank check of
+the latency covariates.
 """
 
 from __future__ import annotations
@@ -147,15 +147,12 @@ class _Cells:
     Two subjects share a cell when every discrete covariate compares equal;
     with no discrete covariates all subjects share one cell.  ``keys[k]``
     holds cell k's discrete values and ``positions[k]`` its subjects' sorted
-    positions in the dataset's time order, ascending; ``sweep[k]`` holds the
-    same positions ordered by the first continuous covariate (stably, so
-    ties keep the time order), or as ``positions[k]`` without one.  Cells
-    come in lexicographic order of their keys.
+    positions in the dataset's time order, ascending.  Cells come in
+    lexicographic order of their keys.
     """
 
     keys: np.ndarray
     positions: tuple[np.ndarray, ...]
-    sweep: tuple[np.ndarray, ...]
 
     def of(self, values: np.ndarray) -> np.ndarray:
         """Cell index of each row of discrete ``values``, -1 where no cell matches."""
@@ -292,8 +289,7 @@ class SurvivalDataset:
     @cached_property
     def _cells(self) -> _Cells:
         """The discrete-covariate cells, grouped once on first use and then shared."""
-        t = self._time_order
-        disc = t.x[:, self.meta.discrete_columns()]
+        disc = self._time_order.x[:, self.meta.discrete_columns()]
         if disc.shape[1] == 0:
             keys, positions = np.empty((1, 0)), [np.arange(self.n)]
         else:
@@ -304,15 +300,7 @@ class SurvivalDataset:
             rows = disc[order]
             starts = np.flatnonzero(np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1))))
             keys, positions = rows[starts], np.split(order, starts[1:])
-        cont = self.meta.continuous_columns()
-        sweep = positions
-        if cont.size:
-            sweep = [p[t.x[p, cont[0]].argsort(kind="stable")] for p in positions]
-        return _Cells(
-            keys=_readonly(keys),
-            positions=tuple(_readonly(p) for p in positions),
-            sweep=tuple(_readonly(p) for p in sweep),
-        )
+        return _Cells(keys=_readonly(keys), positions=tuple(_readonly(p) for p in positions))
 
     @cached_property
     def _z_full_rank(self) -> bool:

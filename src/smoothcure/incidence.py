@@ -13,7 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import SingularHessianError
+from .data import _checked_counts
+from .errors import ParseError, SingularHessianError
 from .newton import NewtonResult, damped_newton
 
 __all__ = ["fit_incidence"]
@@ -78,6 +79,9 @@ def fit_incidence(
     ``counts``, one positive integer per row of x (a counted dataset's
     ``counts``), weighs each row's term by the subjects it stands for;
     ``None`` weighs each row once.  The subject count n below is their sum.
+    A non-finite x, a pihat outside [0, 1] (NaN included), shapes that do
+    not match and a count that is not a positive integer are a
+    :class:`ParseError`, as in :class:`SurvivalDataset`.
 
     Convergence means the max-norm of the score dropped below :data:`TOL` at
     a genuine interior maximum: fits whose linear predictor saturated at
@@ -91,15 +95,20 @@ def fit_incidence(
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     pihat = np.asarray(pihat, dtype=float)
+    if x.ndim != 2:
+        raise ParseError(f"x must be an (n, p) design matrix, got shape {x.shape}")
     rows, p = x.shape
     if pihat.shape != (rows,):
-        raise ValueError("pihat must have one entry per row of x")
-    if np.any(pihat < 0.0) or np.any(pihat > 1.0):
-        raise ValueError("pihat entries must lie in [0, 1]")
-    mass = 1.0 if counts is None else np.asarray(counts, dtype=float)
-    if counts is not None and mass.shape != (rows,):
-        raise ValueError("counts must have one entry per row of x")
-    n = rows if counts is None else int(np.sum(counts))
+        raise ParseError(f"pihat must have one entry per row of x: shape {pihat.shape} for {rows} rows")
+    if not np.all(np.isfinite(x)):
+        raise ParseError("the incidence design x must be finite")
+    if not np.all((pihat >= 0.0) & (pihat <= 1.0)):
+        raise ParseError("pihat entries must lie in [0, 1]")
+    if counts is None:
+        mass, n = 1.0, rows
+    else:
+        counts = _checked_counts(counts, rows)
+        mass, n = counts.astype(float), int(np.sum(counts))
     if p >= n:
         raise SingularHessianError(f"need more subjects than parameters (n={n}, p={p})")
     if np.linalg.matrix_rank(x) < p:

@@ -101,28 +101,20 @@ def kernel_weight_matrix(
     return w
 
 
-def _continuous_weights(
-    x_query: np.ndarray,
-    x_data: np.ndarray,
-    h: np.ndarray,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> np.ndarray:
+def _continuous_weights(x_query: np.ndarray, x_data: np.ndarray, h: np.ndarray) -> np.ndarray:
     """The continuous factor of :func:`kernel_weight_matrix`, on continuous
-    columns only; into ``out`` when given, with ``work`` (of the same shape)
-    as working space for each covariate after the first."""
-    # In place, and without a matrix of ones: each fresh temporary of the
-    # block's size costs a pass and page faults.
+    columns only, as a fresh (m, n) array."""
+    # In place after the difference, and without a matrix of ones: each
+    # further temporary of the block's size costs a pass.
     w = None
     for c, h_c in enumerate(h):
-        u = np.subtract(x_data[None, :, c], x_query[:, None, c], out=out if w is None else work)
+        u = x_data[None, :, c] - x_query[:, None, c]
         u /= h_c
         k = epanechnikov(u, out=u)
         k /= h_c
         w = k if w is None else np.multiply(w, k, out=w)
     if w is None:
-        w = np.empty((x_query.shape[0], x_data.shape[0])) if out is None else out
-        w.fill(1.0)
+        w = np.ones((x_query.shape[0], x_data.shape[0]))
     return w
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import SurvivalDataset
+from .data import SurvivalDataset, _checked_counts
 from .errors import NumericalError
 from .latency_cox import StepFunction
 
@@ -18,7 +18,9 @@ def kaplan_meier(times: np.ndarray, deltas: np.ndarray, counts: np.ndarray | Non
     distinct event time; with no events at all the curve is identically 1.
     ``counts`` (a counted dataset's, say) weighs each entry by the subjects
     it stands for, in the events and in the risk sets; ``None`` counts each
-    once.
+    once.  Empty or non-finite times and deltas other than 0 or 1 are a
+    :class:`NumericalError`; a count that is not a positive integer, or
+    counts of the wrong length, a :class:`ParseError`.
     """
     times = np.asarray(times, dtype=float)
     deltas = np.asarray(deltas)
@@ -26,11 +28,11 @@ def kaplan_meier(times: np.ndarray, deltas: np.ndarray, counts: np.ndarray | Non
         raise NumericalError("empty input")
     if times.shape != deltas.shape:
         raise NumericalError("times and deltas must have the same length")
+    if not np.all(np.isfinite(times)):
+        raise NumericalError("times must be finite")
     if not np.all((deltas == 0) | (deltas == 1)):
         raise NumericalError("deltas must be 0 or 1")
-    weights = np.ones(times.size, dtype=int) if counts is None else np.asarray(counts)
-    if weights.shape != times.shape:
-        raise NumericalError("counts must have one entry per time")
+    weights = np.ones(times.size, dtype=int) if counts is None else _checked_counts(counts, times.size)
 
     event_times, at = np.unique(times[deltas == 1], return_inverse=True)
     order = np.argsort(times, kind="stable")

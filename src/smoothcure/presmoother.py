@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import SurvivalDataset
-from .errors import EmptyNeighborhoodError
+from .errors import ConfigurationError, EmptyNeighborhoodError
 from .kernels import Bandwidth, _check_bandwidth, _continuous_weights
 
 __all__ = ["estimate_cure_prob", "presmooth_all"]
@@ -44,45 +44,42 @@ def _cure_probs(ds: SurvivalDataset, x_query: np.ndarray, queries: list[np.ndarr
     """Cure-probability estimates at the query rows, rows ``queries[k]`` from
     the subjects of cell k only (see :func:`estimate_cure_prob`).
 
-    Each cell's query rows are taken :data:`_BLOCK_ROWS` at a time, in the
-    order given, and each block over the cell's columns inside its support
-    (:func:`_support`), still in reversed time order.  A dropped column
-    would add +0.0 to every running sum and a factor of exactly 1.0 to every
-    product, so the estimates are those over all of the cell's columns, bit
-    for bit.
+    Each cell's query rows are sorted by the first continuous covariate
+    (stably, so ties keep the order given) and taken :data:`_BLOCK_ROWS` at
+    a time; each block builds its own weights over the cell's columns
+    inside its support (:func:`_support`), still in reversed time order.  A
+    dropped column would add +0.0 to every running sum and a factor of
+    exactly 1.0 to every product, so the estimates are those over all of
+    the cell's columns, bit for bit.
     """
     cont = ds.meta.continuous_columns()
     x_cont = x_query[:, cont]
     t = ds._time_order
-    blocks = []
-    for positions, cell_queries in zip(ds._cells.positions, queries):
+    out = np.empty(x_query.shape[0])
+    for positions, rows in zip(ds._cells.positions, queries):
+        if cont.size:
+            rows = rows[x_cont[rows, 0].argsort(kind="stable")]
         data = positions[::-1]
         x_data = t.x[data][:, cont]
-        for lo in range(0, cell_queries.size, _BLOCK_ROWS):
-            rows = cell_queries[lo : lo + _BLOCK_ROWS]
-            blocks.append((rows, data[_support(x_data, x_cont[rows], b.h)]))
-    # One set of block buffers for the call, sized for the largest block.
-    size = max((rows.size * cols.size for rows, cols in blocks), default=0)
-    w_work, at_risk_work = np.empty(size), np.empty(size)
-    k_work = np.empty(size) if cont.size > 1 else None
-    out = np.empty(x_query.shape[0])
-    for rows, cols in blocks:
-        shape, m = (rows.size, cols.size), rows.size * cols.size
-        work = None if k_work is None else k_work[:m].reshape(shape)
-        w = _continuous_weights(x_cont[rows], t.x[cols][:, cont], b.h, out=w_work[:m].reshape(shape), work=work)
-        if ds.counts is not None:
-            w *= t.mass[cols]
-        at_risk = np.cumsum(w, axis=1, out=at_risk_work[:m].reshape(shape))
-        if cols.size == 0 or np.any(at_risk[:, -1] <= 0.0):
-            raise EmptyNeighborhoodError("all kernel weights vanish at a query point")
-        np.divide(w, at_risk, out=w, where=at_risk > 0.0)
-        np.subtract(1.0, w, out=w)
-        out[rows] = np.prod(w, axis=1, where=t.event[cols])
+        for lo in range(0, rows.size, _BLOCK_ROWS):
+            block = rows[lo : lo + _BLOCK_ROWS]
+            inside = _support(x_data, x_cont[block], b.h)
+            cols = data[inside]
+            w = _continuous_weights(x_cont[block], x_data[inside], b.h)
+            if ds.counts is not None:
+                w *= t.mass[cols]
+            at_risk = np.cumsum(w, axis=1)
+            if cols.size == 0 or np.any(at_risk[:, -1] <= 0.0):
+                raise EmptyNeighborhoodError("all kernel weights vanish at a query point")
+            np.divide(w, at_risk, out=w, where=at_risk > 0.0)
+            np.subtract(1.0, w, out=w)
+            out[block] = np.prod(w, axis=1, where=t.event[cols])
     return out
 
 
 def estimate_cure_prob(ds: SurvivalDataset, x_query: np.ndarray, b: Bandwidth) -> np.ndarray:
-    """Cure-probability estimates at the (m, p) query rows ``x_query``.
+    """Cure-probability estimates at the (m, p) query rows ``x_query``,
+    given like the dataset's ``x``: p columns, the intercept first.
 
     Weights vanish between different discrete cells, so each query row is
     estimated from the subjects of its own cell only.  Their columns run in
@@ -94,27 +91,28 @@ def estimate_cure_prob(ds: SurvivalDataset, x_query: np.ndarray, b: Bandwidth) -
     count times its kernel weight, m_j K_ij, which is the telescoped factor
     of its copies.  The estimates are thus products along the rows of each
     cell's weight matrix, with no table over the event times.  Only pairs
-    inside the kernel's support are formed: each cell's query rows are
-    taken in order of the first continuous covariate, 64 at a time, and
-    each block over the columns that can carry weight at one of its rows
-    (the Epanechnikov weight is exactly 0 beyond one bandwidth), still in
-    time order.  A dropped column would add +0.0 to each running sum and a
-    factor of 1.0 to each product, so the estimates are those over every
-    column, bit for bit; only a few small blocks are in memory.  Each factor
-    lies in [0, 1] exactly, since the running sum at j already contains
-    w_j, and a column with no mass up to it gives 1.  A query row whose cell
-    holds no subject, or whose kernel weights all vanish, raises
+    inside the kernel's support are formed: :func:`_cure_probs` takes each
+    cell's query rows in order of the first continuous covariate, 64 at a
+    time, and each block over the columns that can carry weight at one of
+    its rows (the Epanechnikov weight is exactly 0 beyond one bandwidth),
+    still in time order.  A dropped column would add +0.0 to each running
+    sum and a factor of 1.0 to each product, so the estimates are those
+    over every column, bit for bit, in whatever order the query rows come;
+    only one small block is in memory at a time.  Each factor lies in
+    [0, 1] exactly, since the running sum at j already contains w_j, and a
+    column with no mass up to it gives 1.  A query of the wrong width
+    raises :class:`ConfigurationError`; a query row whose cell holds no
+    subject, or whose kernel weights all vanish, raises
     :class:`EmptyNeighborhoodError`.
     """
     x_query = np.atleast_2d(np.asarray(x_query, dtype=float))
+    if x_query.ndim != 2 or x_query.shape[1] != ds.p:
+        raise ConfigurationError(f"x_query must have {ds.p} columns, the intercept first, got shape {x_query.shape}")
     _check_bandwidth(b, ds.meta)
     cell_of = ds._cells.of(x_query[:, ds.meta.discrete_columns()])
     if np.any(cell_of < 0):
         raise EmptyNeighborhoodError("no subject shares the discrete covariates of a query point")
     queries = [np.flatnonzero(cell_of == k) for k in range(len(ds._cells.positions))]
-    cont = ds.meta.continuous_columns()
-    if cont.size:
-        queries = [q[np.argsort(x_query[q, cont[0]], kind="stable")] for q in queries]
     return _cure_probs(ds, x_query, queries, b)
 
 
@@ -125,14 +123,14 @@ def presmooth_all(ds: SurvivalDataset, b: Bandwidth) -> np.ndarray:
     weights itself), so no neighborhood can be empty here, and each point's
     cell is the dataset's own.  The estimates are those of
     :func:`estimate_cure_prob`, one per row: a counted row's value is that
-    of each of its copies in the expansion.  Each cell's rows run in the
-    order of the first continuous covariate that the dataset caches, so
-    each block of rows forms only the pairs inside the kernel's support:
-    at most O(sum_k n_k^2) time for discrete cells of n_k rows (O(n^2)
-    without discrete covariates), far less where the bandwidth is small
-    against the covariate's spread, for any number of event times, and
-    O(n) memory beyond a few small blocks.
+    of each of its copies in the expansion.  Each cell's rows go to
+    :func:`_cure_probs` in time order, which sorts them by the first
+    continuous covariate, so each block of rows forms only the pairs inside
+    the kernel's support: at most O(sum_k n_k^2) time for discrete cells of
+    n_k rows (O(n^2) without discrete covariates), far less where the
+    bandwidth is small against the covariate's spread, for any number of
+    event times, and O(n) memory beyond one small block.
     """
     _check_bandwidth(b, ds.meta)
     order = ds._time_order.order
-    return _cure_probs(ds, ds.x, [order[p] for p in ds._cells.sweep], b)
+    return _cure_probs(ds, ds.x, [order[p] for p in ds._cells.positions], b)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothcure
-from smoothcure import CureModelError, SingularHessianError, fit_incidence
+from smoothcure import CureModelError, ParseError, SingularHessianError, fit_incidence
 from smoothcure.incidence import LINPRED_SATURATION, TOL, _soft_label, expit
 
 
@@ -25,6 +25,17 @@ def soft_label_score(gamma, pihat, x):
 
 def soft_label_hessian(gamma, pihat, x):
     return -_soft_label(pihat, x)[1](gamma)[1]()
+
+
+X8 = np.column_stack([np.ones(8), np.linspace(-1.0, 1.0, 8)])
+PIHAT8 = np.full(8, 0.4)
+
+
+def with_entry(a, i, value):
+    """A float copy of ``a`` with flat entry i set to ``value``."""
+    a = np.array(a, dtype=float)
+    a.flat[i] = value
+    return a
 
 
 def random_design(rng, n=40, p=2):
@@ -142,6 +153,27 @@ class TestFitIncidence:
         x = np.column_stack([np.ones(8), np.full(8, 2.0), np.full(8, 4.0)])
         with pytest.raises(SingularHessianError):
             fit_incidence(np.full(8, 0.4), x)
+
+    @pytest.mark.parametrize(
+        "pihat,x,counts",
+        [
+            pytest.param(with_entry(PIHAT8, 2, np.nan), X8, None, id="nan-pihat"),
+            pytest.param(with_entry(PIHAT8, 2, 1.5), X8, None, id="pihat-above-one"),
+            pytest.param(PIHAT8[:7], X8, None, id="short-pihat"),
+            pytest.param(PIHAT8, with_entry(X8, 5, np.nan), None, id="nan-x"),
+            pytest.param(PIHAT8, with_entry(X8, 5, np.inf), None, id="inf-x"),
+            pytest.param(PIHAT8, X8[None], None, id="3d-x"),
+            pytest.param(PIHAT8, X8, np.zeros(8), id="zero-count"),
+            pytest.param(PIHAT8, X8, np.full(8, 0.5), id="fractional-count"),
+            pytest.param(PIHAT8[:1], X8[:1], np.array([-3]), id="negative-count"),
+            pytest.param(PIHAT8, X8, np.ones(7), id="short-counts"),
+        ],
+    )
+    def test_bad_input_rejected(self, pihat, x, counts):
+        # The faults SurvivalDataset rejects are a ParseError here too: no
+        # NaN fit, no raw LinAlgError or ValueError, no count of 0 or 0.5.
+        with pytest.raises(ParseError):
+            fit_incidence(pihat, x, counts=counts)
 
     def test_more_params_than_subjects_rejected(self, rng):
         x = random_design(rng, n=3, p=3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smoothcure import NumericalError, kaplan_meier, make_scenario, plateau_fraction
+from smoothcure import NumericalError, ParseError, kaplan_meier, make_scenario, plateau_fraction
 from smoothcure.simulate import generate
 
 from conftest import build_dataset
@@ -26,9 +26,25 @@ class TestKaplanMeier:
         assert km(1.0) == pytest.approx(1 / 3)
         assert km.times.size == 1
 
-    def test_empty_rejected(self):
-        with pytest.raises(NumericalError):
-            kaplan_meier(np.array([]), np.array([]))
+    @pytest.mark.parametrize(
+        "times,counts,error",
+        [
+            pytest.param([], None, NumericalError, id="empty"),
+            pytest.param([1.0, np.nan, 3.0], None, NumericalError, id="nan-time"),
+            pytest.param([1.0, np.inf, 3.0], None, NumericalError, id="inf-time"),
+            pytest.param([1.0, 2.0, 3.0], [1, -2, 1], ParseError, id="negative-count"),
+            pytest.param([1.0, 2.0, 3.0], [1.0, np.nan, 1.0], ParseError, id="nan-count"),
+            pytest.param([1.0, 2.0, 3.0], [1, 0, 1], ParseError, id="zero-count"),
+            pytest.param([1.0, 2.0, 3.0], [1.0, 0.5, 1.0], ParseError, id="fractional-count"),
+            pytest.param([1.0, 2.0, 3.0], [1, 1], ParseError, id="short-counts"),
+        ],
+    )
+    def test_empty_rejected(self, times, counts, error):
+        # Empty or non-finite times, and counts that are not one positive
+        # integer per time, are typed errors, never numpy's raw ValueError.
+        deltas = np.array([1, 0, 1][: len(times)])
+        with pytest.raises(error):
+            kaplan_meier(np.array(times), deltas, None if counts is None else np.array(counts))
 
     def test_monotone_in_unit_interval(self, rng):
         for _ in range(10):

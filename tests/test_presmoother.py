@@ -5,6 +5,7 @@ import pytest
 
 from smoothcure import (
     Bandwidth,
+    ConfigurationError,
     EmptyNeighborhoodError,
     estimate_cure_prob,
     kaplan_meier,
@@ -105,6 +106,17 @@ class TestSupport:
         with pytest.raises(EmptyNeighborhoodError):
             estimate_cure_prob(ds, np.array([[1.0, 1.0]]), b)
 
+    @pytest.mark.parametrize("key", ["m1/s1/c1", "m3/s1/c1", "m4/s1/c1"])
+    def test_shuffled_queries_give_the_permuted_values(self, key):
+        # The query order is chosen inside the presmoother, so the order
+        # the rows come in changes no bit, unit or counted.
+        ds = generate(make_scenario(key, n=300), DEFAULT_SEED, 0)
+        b = Bandwidth(np.full(ds.meta.n_continuous, 0.3))
+        perm = np.random.default_rng(5).permutation(ds.n)
+        for draw in map(standardize_continuous, [ds, counted_resample(ds, 7, 1)]):
+            rows = perm[perm < draw.n]
+            assert np.array_equal(estimate_cure_prob(draw, draw.x[rows], b), estimate_cure_prob(draw, draw.x, b)[rows])
+
 
 class TestDirectFormulaOracle:
     @pytest.mark.parametrize("case", range(6))
@@ -157,6 +169,16 @@ class TestDirectFormulaOracle:
 
 
 class TestEstimateCureProb:
+    @pytest.mark.parametrize("width", [pytest.param(2, id="narrow"), pytest.param(6, id="wide")])
+    def test_query_of_the_wrong_width_rejected(self, width):
+        # m3 has four incidence columns, the intercept first: a narrower
+        # query is not indexed past its end, a wider one's extra columns
+        # are not ignored.
+        ds = standardize_continuous(generate(make_scenario("m3/s1/c1", n=60), DEFAULT_SEED, 0))
+        b = Bandwidth(np.full(ds.meta.n_continuous, 0.5))
+        with pytest.raises(ConfigurationError, match="4 columns, the intercept first"):
+            estimate_cure_prob(ds, np.ones((3, width)), b)
+
     def test_discrete_mismatch_raises(self):
         ds = build_dataset([1, 2, 3], [1, 1, 0], x_cols=[[0.0, 0.0, 1.0]], discrete=[True])
         query = np.array([[1.0, 2.0]])  # level matching nobody
