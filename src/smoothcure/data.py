@@ -15,8 +15,8 @@ Datasets are immutable after construction: all arrays are stored with the
 writeable flag cleared, so they can be shared freely across threads and
 worker processes.  The follow-up-time order that every estimator walks is
 sorted once per dataset, on first use, and shared by all of them; so are the
-grouping of the subjects into discrete-covariate cells and the rank check of
-the latency covariates.
+grouping of the subjects into discrete-covariate cells and the rank checks of
+both covariate blocks.
 """
 
 from __future__ import annotations
@@ -197,6 +197,8 @@ class SurvivalDataset:
             raise ParseError("a dataset needs at least two subjects")
         if delta.shape != (n,) or x.shape[0] != n or z.shape[0] != n:
             raise ParseError("y, delta, x and z must have one row per subject")
+        if x.ndim != 2 or z.ndim != 2:
+            raise ParseError(f"x and z must be (rows, columns) matrices, got shapes {x.shape} and {z.shape}")
         if not np.all(np.isfinite(y)) or np.any(y < 0):
             raise ParseError("follow-up times must be finite and nonnegative")
         for block, values in (("x", x), ("z", z)):
@@ -307,6 +309,20 @@ class SurvivalDataset:
         """Whether the centred latency covariates have full column rank."""
         centre = self.z.mean(axis=0) if self.counts is None else self._mass @ self.z / self.n_subjects
         return bool(np.linalg.matrix_rank(self.z - centre) == self.q)
+
+    @cached_property
+    def _x_full_rank(self) -> bool:
+        """Whether the incidence design has full column rank and more subjects than columns."""
+        return self.n_subjects > self.p and bool(np.linalg.matrix_rank(self.x) == self.p)
+
+    def _check_coefficients(self, gamma, beta=None) -> None:
+        """A :class:`ConfigurationError` unless ``gamma`` holds one entry per
+        column of x and ``beta`` (unless ``None``) one per column of z."""
+        for name, coef, size, block in (("gamma", gamma, self.p, "x"), ("beta", beta, self.q, "z")):
+            if coef is not None and np.shape(coef) != (size,):
+                raise ConfigurationError(
+                    f"{name} needs one entry per column of {block} ({size}), got shape {np.shape(coef)}"
+                )
 
     def take(self, indices) -> "SurvivalDataset":
         """Row subset, on the stored scale: row i of the result is row

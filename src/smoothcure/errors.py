@@ -10,7 +10,8 @@ class SchemaError(CureModelError):
 
 
 class ParseError(CureModelError):
-    """A CSV cell failed validation; the message names the offending data row."""
+    """A CSV cell or an input array failed validation; for a CSV cell the
+    message names the offending data row."""
 
 
 class DegenerateCovariateError(CureModelError):

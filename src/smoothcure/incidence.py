@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .data import _checked_counts
+from .data import SurvivalDataset
 from .errors import ParseError, SingularHessianError
 from .newton import NewtonResult, damped_newton
 
@@ -71,17 +71,15 @@ TOL = 1e-8
 MAX_ITER = 100
 
 
-def fit_incidence(
-    pihat: np.ndarray, x: np.ndarray, init: np.ndarray | None = None, counts: np.ndarray | None = None
-) -> NewtonResult:
-    """Maximize the soft-label log-likelihood by damped Newton-Raphson.
+def fit_incidence(ds: SurvivalDataset, pihat: np.ndarray, init: np.ndarray | None = None) -> NewtonResult:
+    """Maximize the soft-label log-likelihood on the incidence design ``ds.x``
+    by damped Newton-Raphson.
 
-    ``counts``, one positive integer per row of x (a counted dataset's
-    ``counts``), weighs each row's term by the subjects it stands for;
-    ``None`` weighs each row once.  The subject count n below is their sum.
-    A non-finite x, a pihat outside [0, 1] (NaN included), shapes that do
-    not match and a count that is not a positive integer are a
-    :class:`ParseError`, as in :class:`SurvivalDataset`.
+    ``pihat`` holds one cure probability per row of ``ds``; a counted row's
+    term weighs as its count (see :class:`SurvivalDataset`).  A pihat of
+    another shape, or outside [0, 1] (NaN included), is a
+    :class:`ParseError`; a design without full column rank, or with no more
+    subjects than columns, a :class:`SingularHessianError`.
 
     Convergence means the max-norm of the score dropped below :data:`TOL` at
     a genuine interior maximum: fits whose linear predictor saturated at
@@ -93,32 +91,21 @@ def fit_incidence(
     attached; nothing is raised for those, so callers such as the EM
     baseline can keep going with the partial update.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     pihat = np.asarray(pihat, dtype=float)
-    if x.ndim != 2:
-        raise ParseError(f"x must be an (n, p) design matrix, got shape {x.shape}")
-    rows, p = x.shape
-    if pihat.shape != (rows,):
-        raise ParseError(f"pihat must have one entry per row of x: shape {pihat.shape} for {rows} rows")
-    if not np.all(np.isfinite(x)):
-        raise ParseError("the incidence design x must be finite")
+    if pihat.shape != (ds.n,):
+        raise ParseError(f"pihat must have one entry per row of x: shape {pihat.shape} for {ds.n} rows")
     if not np.all((pihat >= 0.0) & (pihat <= 1.0)):
         raise ParseError("pihat entries must lie in [0, 1]")
-    if counts is None:
-        mass, n = 1.0, rows
-    else:
-        counts = _checked_counts(counts, rows)
-        mass, n = counts.astype(float), int(np.sum(counts))
-    if p >= n:
-        raise SingularHessianError(f"need more subjects than parameters (n={n}, p={p})")
-    if np.linalg.matrix_rank(x) < p:
-        raise SingularHessianError("incidence design matrix is rank deficient")
-    objective, derivatives = _soft_label(pihat, x, mass)
-    res = damped_newton(objective, derivatives, np.zeros(p) if init is None else init, TOL, MAX_ITER)
+    if not ds._x_full_rank:
+        raise SingularHessianError(
+            f"incidence design is rank deficient or has no more subjects than columns (n={ds.n_subjects}, p={ds.p})"
+        )
+    objective, derivatives = _soft_label(pihat, ds.x, ds._mass)
+    res = damped_newton(objective, derivatives, np.zeros(ds.p) if init is None else init, TOL, MAX_ITER)
     # Only a vanished score is checked for a maximum at infinity.
     if res.converged and not (
-        float(np.max(np.abs(x @ res.x))) <= LINPRED_SATURATION
-        and float(np.min(np.linalg.eigvalsh(derivatives(res.x)[1]()))) >= INFORMATION_FLOOR * n
+        float(np.max(np.abs(ds.x @ res.x))) <= LINPRED_SATURATION
+        and float(np.min(np.linalg.eigvalsh(derivatives(res.x)[1]()))) >= INFORMATION_FLOOR * ds.n_subjects
     ):
         return replace(res, converged=False)
     return res

@@ -49,7 +49,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .data import SurvivalDataset, _readonly, _TimeOrder
-from .errors import NumericalError, SingularHessianError
+from .errors import ConfigurationError, NumericalError, ParseError, SingularHessianError
 from .incidence import _log_phi_pair, expit
 from .newton import NewtonResult, damped_newton
 
@@ -73,7 +73,9 @@ class StepFunction:
     time the function equals ``initial``.  Cumulative hazards use
     ``initial=0`` with nondecreasing values; survival curves use
     ``initial=1`` with nonincreasing values in [0, 1].  Monotonicity in one
-    of the two directions (including the initial value) is enforced.
+    of the two directions (including the initial value) is enforced: times
+    and values that break it, or are not finite, one-dimensional and
+    equally long, are a :class:`ParseError`.
     """
 
     times: np.ndarray
@@ -84,14 +86,14 @@ class StepFunction:
         times = np.atleast_1d(np.asarray(self.times, dtype=float))
         values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if times.shape != values.shape or times.ndim != 1:
-            raise ValueError("times and values must be one-dimensional and equally long")
+            raise ParseError("times and values must be one-dimensional and equally long")
         if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
-            raise ValueError("step function times and values must be finite")
+            raise ParseError("step function times and values must be finite")
         if times.size > 1 and not np.all(np.diff(times) > 0.0):
-            raise ValueError("step function times must be strictly increasing")
+            raise ParseError("step function times must be strictly increasing")
         steps = np.diff(values, prepend=self.initial)
         if not (np.all(steps >= 0.0) or np.all(steps <= 0.0)):
-            raise ValueError("step function values must be monotone from the initial value")
+            raise ParseError("step function values must be monotone from the initial value")
         object.__setattr__(self, "times", _readonly(times))
         object.__setattr__(self, "values", _readonly(values))
 
@@ -161,7 +163,9 @@ def compute_weights(
 ) -> np.ndarray:
     """Expected susceptibility per subject: 1 for events, and for a subject
     censored at Y the posterior phi S_u(Y) / (1 - phi + phi S_u(Y)), which is
-    0 beyond the last jump time of Lambda."""
+    0 beyond the last jump time of Lambda.  Coefficients of the wrong length
+    are a :class:`ConfigurationError`."""
+    ds._check_coefficients(gamma, beta)
     if Lambda.times.size == 0:
         raise NumericalError("cumulative hazard has no jump times")
     phi = expit(ds.x @ np.asarray(gamma, dtype=float))
@@ -371,7 +375,15 @@ def em_iterates(
     the weights and Lambda take subject order and step-function form only
     where a state's ``weights`` or ``Lambda`` is read.  A state's observed
     log-likelihood is its ``loglik``.
+
+    A ``tol`` that is not positive and finite, or a ``max_iter`` that is
+    not an integer of at least 1, is a :class:`ConfigurationError`: no
+    pass could honour it.
     """
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ConfigurationError(f"the EM tolerance must be positive and finite, got tol={tol}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ConfigurationError(f"the EM needs an integer pass cap of at least 1, got max_iter={max_iter!r}")
     t = ds._time_order
     beta = _partial_fit(ds, np.ones(ds.n) * t.mass, None).x
     risk = np.exp(t.z @ beta)
@@ -413,8 +425,10 @@ def fit_latency(
     Runs :func:`em_iterates` with the incidence coefficients held fixed and
     returns its final state.  The returned weights are those of the final
     parameters, so the returned triple is self-consistent for
-    :func:`profile_residual`.
+    :func:`profile_residual`.  A ``gamma_hat`` of the wrong length is a
+    :class:`ConfigurationError`.
     """
+    ds._check_coefficients(gamma_hat)
     gamma_hat = np.asarray(gamma_hat, dtype=float)
     for state in em_iterates(ds, gamma_hat, None, tol, max_iter):
         pass
@@ -428,7 +442,9 @@ def profile_residual(
 
     Plugs the expected susceptibility weights computed from (gamma, beta,
     Lambda) back into the Breslow-type update; at an exact profile fixed
-    point the induced jumps reproduce Lambda's own.
+    point the induced jumps reproduce Lambda's own.  Coefficients of the
+    wrong length are a :class:`ConfigurationError`, as in
+    :func:`compute_weights`.
     """
     w = compute_weights(ds, gamma, beta, Lambda)
     implied = breslow_update(ds, w, beta)

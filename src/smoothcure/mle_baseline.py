@@ -59,8 +59,10 @@ def observed_loglik(
     cannot round 1 - phi to zero.  A counted row's term weighs as its count,
     and the mean is over subjects.  An event time with no jump (or a
     censored term with zero mass) yields a -inf sentinel rather than an
-    exception.
+    exception; coefficients of the wrong length are a
+    :class:`ConfigurationError`.
     """
+    ds._check_coefficients(gamma, beta)
     events = ds.delta == 1
     # A Lambda with no jump times has no jump at an event either: -inf.
     cumhaz, beyond = _at_subject_times(ds, Lambda)
@@ -83,11 +85,9 @@ def fit_mle_em(ds: SurvivalDataset, tol: float = EM_TOL, max_iter: int = EM_MAX_
     """
     cured = np.empty(ds.n)
     cured[ds._time_order.order] = ds._time_order.plateau
-    gamma = fit_incidence(cured, ds.x, counts=ds.counts).x
+    gamma = fit_incidence(ds, cured).x
     path = []
-    for state in em_iterates(
-        ds, gamma, lambda w, g: fit_incidence(1.0 - w, ds.x, init=g, counts=ds.counts), tol, max_iter
-    ):
+    for state in em_iterates(ds, gamma, lambda w, g: fit_incidence(ds, 1.0 - w, init=g), tol, max_iter):
         path.append(state.loglik)
     return CureModelFit(
         gamma=state.gamma,

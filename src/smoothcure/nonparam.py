@@ -4,23 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import SurvivalDataset, _checked_counts
+from .data import SurvivalDataset
 from .errors import NumericalError
 from .latency_cox import StepFunction
 
 __all__ = ["kaplan_meier", "plateau_fraction"]
 
 
-def kaplan_meier(times: np.ndarray, deltas: np.ndarray, counts: np.ndarray | None = None) -> StepFunction:
+def kaplan_meier(times: np.ndarray, deltas: np.ndarray) -> StepFunction:
     """Product-limit survival estimate, ties aggregated, right-continuous.
 
     Returned as a step function with initial value 1 and one drop per
     distinct event time; with no events at all the curve is identically 1.
-    ``counts`` (a counted dataset's, say) weighs each entry by the subjects
-    it stands for, in the events and in the risk sets; ``None`` counts each
-    once.  Empty or non-finite times and deltas other than 0 or 1 are a
-    :class:`NumericalError`; a count that is not a positive integer, or
-    counts of the wrong length, a :class:`ParseError`.
+    Empty or non-finite times and deltas other than 0 or 1 are a
+    :class:`NumericalError`.
     """
     times = np.asarray(times, dtype=float)
     deltas = np.asarray(deltas)
@@ -32,13 +29,11 @@ def kaplan_meier(times: np.ndarray, deltas: np.ndarray, counts: np.ndarray | Non
         raise NumericalError("times must be finite")
     if not np.all((deltas == 0) | (deltas == 1)):
         raise NumericalError("deltas must be 0 or 1")
-    weights = np.ones(times.size, dtype=int) if counts is None else _checked_counts(counts, times.size)
 
     event_times, at = np.unique(times[deltas == 1], return_inverse=True)
-    order = np.argsort(times, kind="stable")
-    # The subjects with time >= each event time: a running sum from the end.
-    at_risk = np.cumsum(weights[order][::-1])[::-1][np.searchsorted(times[order], event_times, side="left")]
-    survival = np.cumprod(1.0 - np.bincount(at, weights=weights[deltas == 1]) / at_risk)
+    # The subjects with time >= each event time.
+    at_risk = times.size - np.searchsorted(np.sort(times), event_times, side="left")
+    survival = np.cumprod(1.0 - np.bincount(at) / at_risk)
     return StepFunction(event_times, survival, initial=1.0)
 
 

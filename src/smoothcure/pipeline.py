@@ -49,7 +49,7 @@ def fit_presmoothing(
         unsearched = not ds.meta.n_continuous and grid is None
         bandwidth = Bandwidth(np.empty(0)) if unsearched else cv_bandwidth(ds_std, grid=grid)
     pihat = presmooth_all(ds_std, bandwidth)
-    inc = fit_incidence(pihat, ds_std.x, counts=ds.counts)
+    inc = fit_incidence(ds_std, pihat)
     lat = fit_latency(ds_std, inc.x, tol=tol, max_iter=max_iter)
     gamma = destandardize_gamma(inc.x, ds_std.meta)
     return CureModelFit(

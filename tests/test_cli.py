@@ -132,6 +132,15 @@ class TestFit:
         error = json.loads(lines[0])
         assert error["error"] == "ConfigurationError" and "--bandwidth" in error["message"]
 
+    @pytest.mark.parametrize("flags", [["--latency-tol", "inf"], ["--latency-max-iter", "0"]],
+                             ids=["tol-inf", "max-iter-zero"])
+    def test_em_stop_rule_it_cannot_honour_exits_one(self, data_csv, tmp_path, capsys, flags):
+        out = tmp_path / "x.json"
+        code = main(["fit", "--input", data_csv, *SCHEMA, "--bandwidth", "0.5", *flags, "--out", str(out)])
+        assert code == 1 and not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "ConfigurationError"
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -202,6 +202,14 @@ class TestDatasetInvariants:
         with pytest.raises(ParseError, match=f"covariate block {block} "):
             SurvivalDataset(ds.y, ds.delta, arrays["x"], arrays["z"], ds.meta, ds.z_names)
 
+    @pytest.mark.parametrize("block", ["x", "z"])
+    def test_rejects_covariates_of_three_axes(self, block):
+        ds = build_dataset([1.0, 2.0, 3.0], [1, 0, 1], x_cols=[[0.5, 1.5, 2.5]], z_cols=[[0.1, 0.2, 0.3]])
+        arrays = {"x": ds.x, "z": ds.z}
+        arrays[block] = arrays[block][:, :, None]
+        with pytest.raises(ParseError, match="matrices"):
+            SurvivalDataset(ds.y, ds.delta, arrays["x"], arrays["z"], ds.meta, ds.z_names)
+
     def test_arrays_immutable(self):
         ds = build_dataset([1, 2, 3], [1, 1, 0], x_cols=[[0.0, 1.0, 2.0]])
         with pytest.raises(ValueError):

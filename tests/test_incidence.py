@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smoothcure
-from smoothcure import CureModelError, ParseError, SingularHessianError, fit_incidence
+from smoothcure import CovariateMeta, CureModelError, ParseError, SingularHessianError, SurvivalDataset, fit_incidence
 from smoothcure.incidence import LINPRED_SATURATION, TOL, _soft_label, expit
 
 
@@ -36,6 +36,14 @@ def with_entry(a, i, value):
     a = np.array(a, dtype=float)
     a.flat[i] = value
     return a
+
+
+def design(x, counts=None):
+    """The incidence design ``x`` as a dataset, with ``counts`` if given:
+    follow-up times 1..n, every row an event."""
+    n, p = x.shape[:2]
+    meta = CovariateMeta(names=tuple(f"x{j}" for j in range(1, p)), discrete=(False,) * (p - 1))
+    return SurvivalDataset(np.arange(1.0, n + 1), np.ones(n, dtype=int), x, np.empty((n, 0)), meta, counts=counts)
 
 
 def random_design(rng, n=40, p=2):
@@ -131,20 +139,20 @@ class TestFitIncidence:
         x = random_design(rng, n=30)
         gamma_star = np.array([0.7, -1.1])
         pihat = 1.0 - expit(x @ gamma_star)
-        fit = fit_incidence(pihat, x)
+        fit = fit_incidence(design(x), pihat)
         assert fit.converged
         assert np.allclose(fit.x, gamma_star, atol=1e-8)
 
     def test_intercept_only_half_labels(self):
         x = np.ones((6, 1))
-        fit = fit_incidence(np.full(6, 0.5), x)
+        fit = fit_incidence(design(x), np.full(6, 0.5))
         assert fit.converged
         assert fit.x[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_six_point_grid_oracle(self):
         x = np.array([[1.0, -1.2], [1.0, -0.5], [1.0, 0.1], [1.0, 0.4], [1.0, 0.9], [1.0, 1.5]])
         pihat = np.array([0.9, 0.6, 0.55, 0.3, 0.2, 0.15])
-        fit = fit_incidence(pihat, x)
+        fit = fit_incidence(design(x), pihat)
         oracle = grid_refine_oracle(pihat, x, spans=[4.0, 4.0])
         assert fit.converged
         assert np.allclose(fit.x, oracle, atol=1e-6)
@@ -152,7 +160,7 @@ class TestFitIncidence:
     def test_rank_deficient_design_rejected(self):
         x = np.column_stack([np.ones(8), np.full(8, 2.0), np.full(8, 4.0)])
         with pytest.raises(SingularHessianError):
-            fit_incidence(np.full(8, 0.4), x)
+            fit_incidence(design(x), np.full(8, 0.4))
 
     @pytest.mark.parametrize(
         "pihat,x,counts",
@@ -162,36 +170,37 @@ class TestFitIncidence:
             pytest.param(PIHAT8[:7], X8, None, id="short-pihat"),
             pytest.param(PIHAT8, with_entry(X8, 5, np.nan), None, id="nan-x"),
             pytest.param(PIHAT8, with_entry(X8, 5, np.inf), None, id="inf-x"),
-            pytest.param(PIHAT8, X8[None], None, id="3d-x"),
+            pytest.param(PIHAT8, X8[:, :, None], None, id="3d-x"),
             pytest.param(PIHAT8, X8, np.zeros(8), id="zero-count"),
             pytest.param(PIHAT8, X8, np.full(8, 0.5), id="fractional-count"),
-            pytest.param(PIHAT8[:1], X8[:1], np.array([-3]), id="negative-count"),
+            pytest.param(PIHAT8, X8, with_entry(np.ones(8), 3, -3), id="negative-count"),
             pytest.param(PIHAT8, X8, np.ones(7), id="short-counts"),
         ],
     )
     def test_bad_input_rejected(self, pihat, x, counts):
-        # The faults SurvivalDataset rejects are a ParseError here too: no
-        # NaN fit, no raw LinAlgError or ValueError, no count of 0 or 0.5.
+        # A bad pihat is fit_incidence's ParseError; a bad x or count is the
+        # ParseError of the dataset it takes, before any fit.  No NaN fit,
+        # no raw LinAlgError or ValueError, no count of 0 or 0.5.
         with pytest.raises(ParseError):
-            fit_incidence(pihat, x, counts=counts)
+            fit_incidence(design(x, counts), pihat)
 
     def test_more_params_than_subjects_rejected(self, rng):
         x = random_design(rng, n=3, p=3)
         with pytest.raises(SingularHessianError):
-            fit_incidence(np.full(3, 0.5), x)
+            fit_incidence(design(x), np.full(3, 0.5))
 
     def test_max_iter_flagged(self, rng):
         x = random_design(rng, n=20)
         pihat = (x[:, 1] < 0).astype(float)  # perfectly separated labels
-        fit = fit_incidence(pihat, x)
+        fit = fit_incidence(design(x), pihat)
         assert not fit.converged
 
     def test_label_complement_negates_fit(self, rng):
         for _ in range(10):
             x = random_design(rng, n=25)
             pihat = rng.uniform(0.05, 0.95, 25)
-            up = fit_incidence(pihat, x)
-            down = fit_incidence(1.0 - pihat, x)
+            up = fit_incidence(design(x), pihat)
+            down = fit_incidence(design(x), 1.0 - pihat)
             assert up.converged and down.converged
             assert np.allclose(up.x, -down.x, atol=1e-8)
 
@@ -199,15 +208,15 @@ class TestFitIncidence:
         x = random_design(rng, n=18)
         pihat = rng.uniform(0.0, 1.0, 18)
         perm = rng.permutation(18)
-        a = fit_incidence(pihat, x)
-        b = fit_incidence(pihat[perm], x[perm])
+        a = fit_incidence(design(x), pihat)
+        b = fit_incidence(design(x[perm]), pihat[perm])
         assert np.allclose(a.x, b.x, atol=1e-10)
 
     def test_converged_state_is_stationary_and_concave(self, rng):
         for _ in range(5):
             x = random_design(rng, n=30)
             pihat = rng.uniform(0.1, 0.9, 30)
-            fit = fit_incidence(pihat, x)
+            fit = fit_incidence(design(x), pihat)
             assert fit.converged
             assert fit.score_norm < 1e-8
             eigs = np.linalg.eigvalsh(soft_label_hessian(fit.x, pihat, x))
@@ -266,9 +275,10 @@ def test_fit_contract_on_hostile_input(problem):
     # unraised: log(phi) of a far-out linear predictor underflows in
     # logaddexp harmlessly.
     pihat, x = problem
+    ds = design(x)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            res = fit_incidence(pihat, x)
+            res = fit_incidence(ds, pihat)
         except CureModelError:
             return
     assert np.all(np.isfinite(res.x)) and np.isfinite(res.value) and np.isfinite(res.score_norm)

@@ -1,11 +1,15 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from smoothcure import (
+    Bandwidth,
+    ConfigurationError,
     NumericalError,
+    ParseError,
     SingularHessianError,
     StepFunction,
     SurvivalDataset,
@@ -14,6 +18,7 @@ from smoothcure import (
     fit_latency,
     make_scenario,
     observed_loglik,
+    prediction_error,
     profile_residual,
     weighted_partial_fit,
 )
@@ -58,11 +63,11 @@ class TestStepFunction:
         assert s(3.0) == 0.375
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             StepFunction(np.array([2.0, 1.0]), np.array([0.1, 0.2]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             StepFunction(np.array([1.0, 2.0]), np.array([0.5, 0.25]))  # not monotone from 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             StepFunction(np.array([1.0]), np.array([np.inf]))
 
 
@@ -294,6 +299,51 @@ class TestFitLatency:
             Lam = breslow_update(ds, w, beta)
             values.append(observed_loglik(ds, gamma, beta, Lam))
         assert np.all(np.diff(values) >= -1e-10)
+
+
+@pytest.fixture(scope="module")
+def m3_fit():
+    ds = generate(make_scenario("m3/s1/c1", n=300), 1729)
+    return ds, fit_cure_model(ds, "presmooth", bandwidth=Bandwidth(np.array([0.3])))
+
+
+@pytest.mark.parametrize(
+    "entry,short",
+    [(entry, short) for entry in ("compute_weights", "observed_loglik", "profile_residual", "prediction_error")
+     for short in ("gamma", "beta")] + [("fit_latency", "gamma")],
+)
+def test_coefficients_of_the_wrong_length_are_typed(m3_fit, entry, short):
+    # One coefficient too few is a ConfigurationError that names the
+    # vector, not numpy's matmul ValueError.
+    ds, fit = m3_fit
+    gamma = fit.gamma[:-1] if short == "gamma" else fit.gamma
+    beta = fit.beta[:-1] if short == "beta" else fit.beta
+    calls = {
+        "compute_weights": lambda: compute_weights(ds, gamma, beta, fit.Lambda),
+        "observed_loglik": lambda: observed_loglik(ds, gamma, beta, fit.Lambda),
+        "fit_latency": lambda: fit_latency(ds, gamma),
+        "profile_residual": lambda: profile_residual(ds, gamma, beta, fit.Lambda),
+        "prediction_error": lambda: prediction_error(replace(fit, gamma=gamma, beta=beta), ds),
+    }
+    with pytest.raises(ConfigurationError, match=f"{short} needs one entry per column"):
+        calls[entry]()
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"tol": np.inf}, {"tol": np.nan}, {"tol": -1.0}, {"tol": 0.0},
+     {"max_iter": -3}, {"max_iter": 0}, {"max_iter": 2.5}],
+    ids=["tol-inf", "tol-nan", "tol-negative", "tol-zero", "max-iter-negative", "max-iter-zero", "max-iter-fraction"],
+)
+@pytest.mark.parametrize("method", METHODS)
+def test_em_stop_rule_it_cannot_honour_is_refused(method, options):
+    # tol=inf would report convergence after one pass, tol=nan or -1 would
+    # run every pass and then report failure, and max_iter=-3 would return
+    # the start state: each is refused before the first pass.
+    ds = generate(make_scenario("m1/s1/c1", n=300), 1729)
+    extra = {"bandwidth": Bandwidth(np.array([0.5]))} if method == "presmooth" else {}
+    with pytest.raises(ConfigurationError, match="tol" if "tol" in options else "max_iter"):
+        fit_cure_model(ds, method, **extra, **options)
 
 
 class TestProfileResidual:
