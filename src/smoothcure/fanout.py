@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
+from .errors import ConfigurationError
+
 
 def _fan_out(replicate, tasks: list, n_jobs: int) -> list:
     """``replicate`` mapped over ``tasks``, results in task order: in this
@@ -60,6 +64,12 @@ def _fan_out(replicate, tasks: list, n_jobs: int) -> list:
         for worker in workers:
             worker.join()
     return results
+
+
+def _check_workers(n_jobs) -> None:
+    """A :class:`ConfigurationError` unless ``n_jobs`` is an integer of at least 1."""
+    if not isinstance(n_jobs, (int, np.integer)) or n_jobs < 1:
+        raise ConfigurationError(f"need an integer count of at least 1 worker, got n_jobs={n_jobs!r}")
 
 
 def _work(replicate, tasks: list, taken, send) -> None:

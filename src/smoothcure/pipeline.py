@@ -10,7 +10,7 @@ from .data import SurvivalDataset, destandardize_gamma, standardize_continuous
 from .errors import ConfigurationError
 from .incidence import fit_incidence
 from .kernels import Bandwidth, cv_bandwidth
-from .latency_cox import EM_MAX_ITER, EM_TOL, fit_latency
+from .latency_cox import EM_MAX_ITER, EM_TOL, LatencyFit, _check_stop_rule, fit_latency
 from .mle_baseline import CureModelFit, fit_mle_em
 from .presmoother import presmooth_all
 
@@ -25,6 +25,7 @@ def fit_presmoothing(
     grid: np.ndarray | None = None,
     tol: float = EM_TOL,
     max_iter: int = EM_MAX_ITER,
+    start: LatencyFit | None = None,
 ) -> CureModelFit:
     """Two-step fit: presmoothed incidence first, latency second.
 
@@ -34,15 +35,19 @@ def fit_presmoothing(
     every sample point and the incidence coefficients maximize the
     soft-label likelihood.  The latency is then
     fitted with those coefficients held fixed, by the latency EM that :func:`fit_mle_em` also
-    runs, under the same stop rule ``tol``/``max_iter``.  Reported incidence
+    runs, under the same stop rule ``tol``/``max_iter``, from the no-cure fit
+    or from ``start`` (see :func:`fit_latency`); the bootstrap passes the
+    full-sample fit's ``latency`` to its refits.  Reported incidence
     coefficients are mapped back to the original covariate scale; the
     log-likelihood is the EM's final state's, which standardizing leaves as is.
     A ``grid`` given with a ``bandwidth``, or on data with no continuous
     incidence covariate, is a :class:`ConfigurationError`: no
-    cross-validation runs to search it.
+    cross-validation runs to search it.  So is a stop rule no EM pass can
+    honour, refused before any of the work.
     """
     if bandwidth is not None and grid is not None:
         raise ConfigurationError("give a bandwidth or a cross-validation grid, not both")
+    _check_stop_rule(tol, max_iter)
     ds_std = standardize_continuous(ds)
     if bandwidth is None:
         # A grid with no continuous covariate to search is cv_bandwidth's error.
@@ -50,7 +55,7 @@ def fit_presmoothing(
         bandwidth = Bandwidth(np.empty(0)) if unsearched else cv_bandwidth(ds_std, grid=grid)
     pihat = presmooth_all(ds_std, bandwidth)
     inc = fit_incidence(ds_std, pihat)
-    lat = fit_latency(ds_std, inc.x, tol=tol, max_iter=max_iter)
+    lat = fit_latency(ds_std, inc.x, tol=tol, max_iter=max_iter, start=start)
     gamma = destandardize_gamma(inc.x, ds_std.meta)
     return CureModelFit(
         gamma=gamma,
@@ -72,8 +77,9 @@ def fit_cure_model(ds: SurvivalDataset, method: str, **options) -> CureModelFit:
 
     The options are the fitter's keyword parameters: both methods take the
     latency EM's stop rule ``tol`` and ``max_iter``, and ``presmooth`` also
-    takes ``bandwidth`` and ``grid`` (see :func:`fit_presmoothing`).  An
-    unknown method or option raises :class:`ConfigurationError`.
+    takes ``bandwidth``, ``grid`` and the EM's ``start`` (see
+    :func:`fit_presmoothing`).  An unknown method or option raises
+    :class:`ConfigurationError`.
     """
     if method not in METHODS:
         raise ConfigurationError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import CovariateMeta, SurvivalDataset
 from .errors import ConfigurationError
-from .fanout import _fan_out
+from .fanout import _check_workers, _fan_out
 from .incidence import expit
 from .mle_baseline import fit_mle_em
 from .pipeline import METHODS, fit_presmoothing
@@ -385,16 +385,15 @@ def run_study(
     :data:`TRIM_FRACTION` of each coordinate independently.
 
     The replications run over ``n_jobs`` worker processes, in this process
-    when it is 1 (the default); an ``n_jobs`` below 1 is a
-    :class:`ConfigurationError`.  Unlike :func:`~smoothcure.inference.bootstrap_se`,
+    when it is 1 (the default); an ``n_jobs`` that is not an integer of at
+    least 1 is a :class:`ConfigurationError`.  Unlike :func:`~smoothcure.inference.bootstrap_se`,
     a study does not fan out unasked: a caller that replaces a fitter in
     this module, as the benchmark harness does to keep each fit, sees only
     the fits made in this process.
     """
     if reps < 10:
         raise ConfigurationError(f"need at least 10 replications, got {reps}")
-    if n_jobs < 1:
-        raise ConfigurationError(f"need at least 1 worker, got n_jobs={n_jobs}")
+    _check_workers(n_jobs)
     for method in methods:
         if method not in METHODS:
             raise ConfigurationError(f"unknown method {method!r}")

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import smoothcure.inference as inference
+import smoothcure.pipeline as pipeline
 from smoothcure import (
     DEFAULT_SEED,
     ConfigurationError,
     CovariateMeta,
+    CureModelError,
     CureModelFit,
     InferenceError,
     StepFunction,
@@ -267,6 +269,40 @@ class TestBootstrap:
         taken = np.vstack(taken)
         assert np.all(np.abs(res.estimates - taken) <= 1e-12 * (1.0 + np.abs(taken)))
 
+    def test_replayable_presmoothing_rows(self):
+        # A presmoothing refit starts its latency EM from the full-sample
+        # fit, so replayed with start=full.latency it gives the same bits.
+        ds = generate(make_scenario("m1/s1/c1", n=60), seed=8)
+        res = bootstrap_se(ds, B=6, seed=21)
+        full = fit_presmoothing(ds)
+        replayed = []
+        for r in range(6):
+            counts = np.bincount(resample_indices(21, r, ds.n), minlength=ds.n)
+            rows = np.flatnonzero(counts)
+            counted = SurvivalDataset(ds.y[rows], ds.delta[rows], ds.x[rows], ds.z[rows], ds.meta,
+                                      ds.z_names, counts=counts[rows])
+            fit = fit_presmoothing(counted, start=full.latency)
+            if fit.converged:
+                replayed.append(np.concatenate([fit.gamma, fit.beta]))
+        assert np.array_equal(res.estimates, np.vstack(replayed))
+
+    @pytest.mark.parametrize(
+        "args",
+        [{"B": 2.5}, {"B": 1}, {"n_jobs": 1.5}, {"seed": -1}, {"seed": 1.5},
+         {"tol": np.inf}, {"max_iter": 0}, {"method": "mle", "tol": -1.0}],
+        ids=["B-fraction", "B-one", "n_jobs-fraction", "seed-negative", "seed-fraction",
+             "tol-inf", "max_iter-zero", "mle-tol-negative"],
+    )
+    def test_bad_arguments_refused_before_any_fit(self, monkeypatch, args):
+        # n_jobs below 1 is TestWorkers::test_fewer_than_one_worker_is_typed.
+        def fit_cure_model(ds, method, **options):
+            raise AssertionError("fitted before checking the arguments")
+
+        monkeypatch.setattr(inference, "fit_cure_model", fit_cure_model)
+        ds = generate(make_scenario("m1/s1/c1", n=60), seed=6)
+        with pytest.raises(CureModelError):
+            bootstrap_se(ds, **{"B": 4, **args})
+
     def test_constant_estimator_gives_zero_se(self, monkeypatch):
         calls = {"n": 0}
 
@@ -434,6 +470,7 @@ class TestFitOptions:
             ("mle", {"grid": None}),
             ("wat", {}),
             ("presmooth", {"bandwidth_cap": 2.0}),
+            ("mle", {"start": None}),
         ],
     )
     def test_fit_cure_model_rejects(self, ds, method, options):
@@ -466,6 +503,15 @@ class TestFitOptions:
             fit_presmoothing(cut, grid=np.array([0.1, 0.5]))
         assert fit_presmoothing(cut).bandwidth.size == 0
 
+    @pytest.mark.parametrize("options", [{"tol": np.inf}, {"max_iter": 0}], ids=["tol-inf", "max_iter-zero"])
+    def test_bad_stop_rule_never_reaches_the_bandwidth_scan(self, monkeypatch, ds, options):
+        def cv_bandwidth(ds, grid=None):
+            raise AssertionError("cross-validated before checking the stop rule")
+
+        monkeypatch.setattr(pipeline, "cv_bandwidth", cv_bandwidth)
+        with pytest.raises(ConfigurationError):
+            fit_presmoothing(ds, **options)
+
     def test_stop_rule_reaches_the_latency_em(self, ds):
         assert fit_presmoothing(ds, max_iter=1).latency.iterations == 1
         assert fit_cure_model(ds, "presmooth", max_iter=1).latency.iterations == 1
@@ -480,6 +526,38 @@ def test_fit_without_latency_covariates(method):
     assert fit.converged and fit.beta.shape == (0,)
     assert np.all(np.isfinite(fit.gamma)) and np.isfinite(fit.loglik)
     assert np.all(np.isfinite(fit.Lambda.values))
+
+
+@pytest.mark.parametrize("key, n", [("m1/s1/c1", 100), ("m3/s2/c1", 150), ("m4/s1/c1", 120),
+                                    ("demo/convergence", 60), ("demo/convergence", 100)])
+def test_warm_refits_agree_with_cold_ones(key, n):
+    # A refit started from the full-sample fit (as bootstrap_se starts its
+    # presmoothing refits) converges, or fails, as the cold refit does, to
+    # within 10 x the EM tolerance (1e-6 relative; 1.2e-8 measured here), and
+    # takes no more EM passes in all; a single refit can take one or two more.
+    cold_passes = warm_passes = 0
+    for replication in range(2):
+        ds = generate(make_scenario(key, n=n), DEFAULT_SEED, replication)
+        full = fit_presmoothing(ds)
+        bandwidth = Bandwidth(full.bandwidth)
+        for r in range(6):
+            resample = inference._counted(ds, resample_indices(1, r, ds.n_subjects))
+            fits = []
+            for start in (None, full.latency):
+                try:
+                    fits.append(fit_presmoothing(resample, bandwidth=bandwidth, start=start))
+                except CureModelError:
+                    fits.append(None)
+            cold, warm = fits
+            assert (cold is not None and cold.converged) == (warm is not None and warm.converged)
+            if cold is None or warm is None:
+                continue
+            cold_passes += cold.latency.iterations
+            warm_passes += warm.latency.iterations
+            if cold.converged:
+                a, b = np.concatenate([cold.gamma, cold.beta]), np.concatenate([warm.gamma, warm.beta])
+                assert np.all(np.abs(a - b) <= 1e-6 * (1.0 + np.abs(a)))
+    assert warm_passes <= cold_passes
 
 
 @pytest.mark.slow

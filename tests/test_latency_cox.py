@@ -310,7 +310,7 @@ def m3_fit():
 @pytest.mark.parametrize(
     "entry,short",
     [(entry, short) for entry in ("compute_weights", "observed_loglik", "profile_residual", "prediction_error")
-     for short in ("gamma", "beta")] + [("fit_latency", "gamma")],
+     for short in ("gamma", "beta")] + [("fit_latency", "gamma"), ("fit_latency", "beta")],
 )
 def test_coefficients_of_the_wrong_length_are_typed(m3_fit, entry, short):
     # One coefficient too few is a ConfigurationError that names the
@@ -321,7 +321,8 @@ def test_coefficients_of_the_wrong_length_are_typed(m3_fit, entry, short):
     calls = {
         "compute_weights": lambda: compute_weights(ds, gamma, beta, fit.Lambda),
         "observed_loglik": lambda: observed_loglik(ds, gamma, beta, fit.Lambda),
-        "fit_latency": lambda: fit_latency(ds, gamma),
+        # A warm start's beta is checked as the dataset's own.
+        "fit_latency": lambda: fit_latency(ds, gamma, start=replace(fit.latency, beta=beta)),
         "profile_residual": lambda: profile_residual(ds, gamma, beta, fit.Lambda),
         "prediction_error": lambda: prediction_error(replace(fit, gamma=gamma, beta=beta), ds),
     }
