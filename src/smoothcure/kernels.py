@@ -13,13 +13,15 @@ Each cell's columns are stored chunk-major (chunks of about sqrt(n_k)
 subjects, at most 16), so a row's running sum is a two-level scan: a
 running sum of the chunk totals, then one vector add per slot of a chunk
 over all chunks and rows of the block at once.  Each row's residual is
-summed unnormalized and divided by the row's mass afterwards.  The blocks
+summed unnormalized and divided by the row's mass afterwards: the running
+sums are squared in place and contracted with the event counts in one
+batched matrix-vector product (BLAS) per block and candidate.  The blocks
 are independent: a large scan scores them in one worker process per usable
 CPU, and each score is the exactly rounded sum of its block totals
 (:func:`math.fsum`), so the scores are the same for any worker count and
 any order the blocks come back in.  Each worker, or this process when the
-scan runs serially, holds block buffers of about 1.5 MiB each; beyond
-them memory is O(K + n) for K candidates, in each.
+scan runs serially, holds block buffers of about 2 MiB each; beyond them
+memory is O(K + n) for K candidates, in each.
 """
 
 from __future__ import annotations
@@ -49,12 +51,15 @@ DEFAULT_CAP = 2.0
 
 @dataclass(frozen=True)
 class Bandwidth:
-    """One strictly positive entry per continuous incidence covariate."""
+    """One strictly positive entry per continuous incidence covariate, as a
+    1-D array (a scalar is one entry)."""
 
     h: np.ndarray
 
     def __post_init__(self) -> None:
         h = np.atleast_1d(np.asarray(self.h, dtype=float))
+        if h.ndim != 1:
+            raise ConfigurationError(f"bandwidth must be one-dimensional, got shape {h.shape}")
         if h.size and (not np.all(np.isfinite(h)) or np.any(h <= 0.0)):
             raise ConfigurationError(f"bandwidth entries must be positive and finite, got {h}")
         object.__setattr__(self, "h", _readonly(h))
@@ -126,19 +131,20 @@ def default_grid(lo: float = 0.05, hi: float = DEFAULT_CAP, num: int = 30) -> np
 
 
 # The bandwidth scan runs a block of rows at a time (a batch of G
-# candidates takes 1/G of the rows), about 1.5 MiB per buffer: no call
-# allocates an n x n array, longer passes cost fewer numpy calls per pair,
-# and a block's working set still fits a 2 MiB L2 cache.  Against 1 MiB,
-# the fanned-out scan measured 5-9% faster on m1 at n = 1500 and 3-6% on m4
-# at n = 400.  Presmoothing keeps its own, smaller blocks.
-_CV_BLOCK_BYTES = 3 << 19
+# candidates takes 1/G of the rows), about 2 MiB per buffer: no call
+# allocates an n x n array, and longer passes cost fewer numpy calls per
+# pair.  Against 1.5 MiB, the fanned-out scan took 2-5% less time on m4 at
+# n = 400 and 1-2% less on m1 at n = 1500 (12 alternating rounds at each of
+# two seeds, winning 10 to 11 of them); 3 MiB was faster still on m1 but
+# won only 6 of 12 on m4.  Presmoothing keeps its own, smaller blocks.
+_CV_BLOCK_BYTES = 1 << 21
 
 # The fewest pair-candidates (sum_k n_k^2 times the number of candidates)
-# for which the scan fans out to worker processes.  Starting and joining two
-# workers costs about 10 ms; below about this many the serial scan
-# measured as fast (m1 broke even near n = 400, 4.8M; m4 near n = 200,
-# 9.6M, whose few large blocks balance worse).
-_CV_FAN_OUT_PAIRS = 10_000_000
+# for which the scan fans out to worker processes.  Forking and joining two
+# workers costs a few ms; two workers broke even with the serial scan on
+# m1 near n = 400 (4.8M) and on m4 near n = 100 (2.5M), and won every one of
+# 10 alternating rounds from m1 at n = 500 (7.5M) and m4 at n = 150 (5.5M).
+_CV_FAN_OUT_PAIRS = 5_000_000
 
 # A fanned-out scan cuts its blocks into runs of consecutive blocks, about
 # this many per worker, and its workers take them costliest first (see
@@ -269,7 +275,7 @@ def _cv_scores(table: tuple[_CvCell, ...], grids: list[np.ndarray]) -> np.ndarra
     Otherwise one run takes every block, in this process.  Every score is
     the same for any worker count and any cut of the runs.  Each worker, or
     this process when one run takes every block, holds buffers of about
-    :data:`_CV_BLOCK_BYTES` (1.5 MiB) each, or one row of G candidates
+    :data:`_CV_BLOCK_BYTES` (2 MiB) each, or one row of G candidates
     where that is larger; beyond them memory is O(K + n) for K candidates,
     in each worker and in this process.
     """
@@ -306,9 +312,12 @@ def _cv_block_scores(shard: tuple) -> tuple[np.ndarray, np.ndarray]:
     up to the next subject.  The running sum takes two levels: an exclusive
     running sum of the chunk totals gives each chunk's first slot its
     offset, then c - 1 vector adds run down the slots of every chunk at
-    once.  Folded into the residual, the squares times the ``events``
-    counts are summed and then divided twice by M; rows with M below
-    :data:`_FOLD_MIN_MASS` divide before squaring.
+    once.  Folded into the residual, the running sums are squared in place
+    and each slot's squares are contracted with its ``events`` counts in one
+    batched matrix-vector product, (c, G m, chunks) times (c, chunks, 1);
+    the c slot sums of a row are added and divided twice by M.  Rows with M
+    below :data:`_FOLD_MIN_MASS` divide before squaring, so they are done
+    first.  The product needs one more buffer of c x G m values.
 
     The last covariate's grid is a batch axis.  A block of m rows is laid
     out as (c, G, m, chunks), slot k outermost, so each add of the running
@@ -340,6 +349,7 @@ def _cv_block_scores(shard: tuple) -> tuple[np.ndarray, np.ndarray]:
     offsets_work = np.empty_like(totals_work)
     mass_work = np.empty(g * max(hi - lo for _, lo, hi in blocks))
     resid_work = np.empty_like(mass_work)
+    slot_work = np.empty(max(table[k].events.shape[0] for k, _, _ in blocks) * mass_work.size)
     sums = np.empty((len(blocks), len(outer), g))
     has_mass = np.zeros((len(outer), g), dtype=bool)
     laid_out = None
@@ -397,16 +407,24 @@ def _cv_block_scores(shard: tuple) -> tuple[np.ndarray, np.ndarray]:
                 for j in range(1, width):
                     np.add(w[j], w[j - 1], out=w[j])
                 a = w.reshape(width, r, chunks)
-                resid = np.einsum("krj,krj,kj->r", a, a, cell.events, out=resid_work[:r])
                 folded = mass >= _FOLD_MIN_MASS
-                scale = np.where(folded, mass, 1.0)
-                resid /= scale
-                resid /= scale
-                # A row without mass has all-zero weights and a residual of 0.
+                # A row without mass has all-zero weights and a residual of
+                # 0.  The rows that divide before squaring go first: the
+                # squares below overwrite the running sums.
                 small = np.flatnonzero(~folded & (mass > 0.0))
                 if small.size:
                     a_small = a[:, small] / mass[small, None]
-                    resid[small] = np.einsum("krj,krj,kj->r", a_small, a_small, cell.events)
+                    resid_small = np.einsum("krj,krj,kj->r", a_small, a_small, cell.events)
+                # In place: w is f or the weights buffer, and each is rebuilt
+                # before it is read again.
+                np.square(a, out=a)
+                per_slot = np.matmul(a, cell.events[:, :, None], out=slot_work[: width * r].reshape(width, r, 1))
+                resid = np.add.reduce(per_slot.reshape(width, r), axis=0, out=resid_work[:r])
+                scale = np.where(folded, mass, 1.0)
+                resid /= scale
+                resid /= scale
+                if small.size:
+                    resid[small] = resid_small
                 resid.reshape(g, m).sum(axis=1, out=sums[b, o])
                 has_mass[o] |= mass.reshape(g, m).max(axis=1) > 0.0
     return sums.reshape(len(blocks), -1), has_mass.reshape(-1)
@@ -431,16 +449,17 @@ def cv_criterion(ds: SurvivalDataset, b: Bandwidth) -> float:
     running sum along a row, so the score costs O(n^2) time for any number
     of event times; no n x T table is formed.  The running sum is a
     two-level scan over the cell's chunk-major columns, and each row's
-    squared gaps are summed before they are divided by the row's squared
-    mass (rows of mass below 2^-200 divide first, so nothing underflows).
+    squared gaps are summed, by a batched matrix-vector product against the
+    event counts, before they are divided by the row's squared mass (rows of
+    mass below 2^-200 divide first, so nothing underflows).
     Subjects in different discrete cells have weight 0, so each cell of n_k
     subjects is scored on its own and the cost is O(sum_k n_k^2); no pair
     across cells is formed.  The blocks' sums are added exactly rounded
     (:func:`math.fsum`), so the score does not depend on how the rows are
     cut or where the blocks are scored.  This is the one-candidate case of
     the scan :func:`cv_bandwidth` makes.  A dataset with counts is scored
-    as its expansion, each row repeated count times.  Memory is O(n) beyond a few
-    blocks of rows of about 1.5 MiB each, held by each worker process where
+    as its expansion, each row repeated count times.  Memory is O(n) beyond a
+    few blocks of rows of about 2 MiB each, held by each worker process where
     a large scan fans out (see :func:`cv_bandwidth`).
     """
     _check_bandwidth(b, ds.meta)
@@ -470,15 +489,17 @@ def cv_bandwidth(ds: SurvivalDataset, grid: np.ndarray | None = None) -> Bandwid
     2G exponentials per pair of subjects instead of G^2.  The block is laid
     out chunk-major, slot outermost, so each row's running sum takes one
     vector add per slot of a chunk over the whole block and one running sum
-    of the chunk totals; the residuals are divided by the row masses after
-    they are summed (see :func:`_cv_block_scores`).  Only pairs within a
+    of the chunk totals; the running sums are squared in place and summed
+    against the event counts in one batched matrix-vector product per
+    candidate, and divided by the row masses after that (see
+    :func:`_cv_block_scores`).  Only pairs within a
     cell are formed, so time is O(sum_k n_k^2) per candidate for cells of
     n_k subjects, O(n^2) without discrete covariates.  A dataset with counts
     (a bootstrap resample's, say) is scored as its expansion, each row
     repeated count times, so the leave-one-out rule leaves out one subject
     and n counts subjects.
 
-    A scan of at least ten million pair-candidates (sum_k n_k^2 times the
+    A scan of at least five million pair-candidates (sum_k n_k^2 times the
     number of candidates) scores its blocks in worker processes, one per
     CPU this process may run on, when this process is not itself a worker
     and the multiprocessing start method is fork; the workers take runs of
@@ -487,8 +508,8 @@ def cv_bandwidth(ds: SurvivalDataset, grid: np.ndarray | None = None) -> Bandwid
     sum of its block totals either way, so the selected bandwidth is the
     same for any worker count (see :func:`_cv_scores`).
     Memory is O(K + n) for K candidates beyond a few blocks of about
-    1.5 MiB each (one row of G candidates where that is larger: 1.8 MiB at
-    n = 8000, G = 30), in each worker and in this process.
+    2 MiB each (one row of G candidates where that is larger: 2.3 MiB at
+    n = 10000, G = 30), in each worker and in this process.
     """
     if not ds.meta.standardized:
         raise ConfigurationError("bandwidth selection expects standardized covariates")

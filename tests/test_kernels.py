@@ -3,6 +3,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -94,6 +96,16 @@ class TestKernelWeight:
     def test_bandwidth_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             Bandwidth(np.array([0.0]))
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (1, 1, 1)])
+    def test_bandwidth_must_be_one_dimensional(self, shape):
+        # A 2-D h would reach the scan and the fit as a raw numpy error, or
+        # be reported back as a 2-D bandwidth.
+        with pytest.raises(ConfigurationError, match="one-dimensional"):
+            Bandwidth(np.full(shape, 0.5))
+
+    def test_scalar_bandwidth_is_one_entry(self):
+        assert Bandwidth(0.5).h.shape == (1,)
 
 
 def brute_force_cv(ds, grid):
@@ -440,6 +452,25 @@ class TestBatchedScores:
         grid = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         assert cv_bandwidth(ds, grid=grid).h[0] == 0.3
 
+    @pytest.mark.parametrize("rows", [None, 1])
+    def test_block_mixes_subnormal_and_ordinary_mass(self, monkeypatch, rows):
+        # Three subjects share x = 0 and weigh 1 to each other; the fourth,
+        # at distance sqrt(1489), has only the three of them, each at weight
+        # exp(-744.5), a subnormal number (see test_subnormal_mass_counts).
+        # Its row divides before squaring, the ordinary rows after, whether
+        # they share one block or each has its own.  Event times 1 to 4:
+        # rows Y = 1 and 3 score 1 + 1/4, row Y = 2 scores 1/4 + 1/4, and
+        # the far row, H = 1/3, 2/3, 1, 1 against 0, 0, 0, 1, scores 14/9.
+        ds = build_dataset([1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1], x_cols=[[0.0, 0.0, 0.0, math.sqrt(1489.0)]])
+        if rows is not None:
+            monkeypatch.setattr(kernels, "_cv_block_rows", lambda n: rows)
+        table, grids = kernels._cv_table(ds), [np.array([1.0])]
+        blocks = -(-ds.n // kernels._cv_block_rows(table[0].events.size))
+        assert blocks == (1 if rows is None else ds.n)
+        scores = kernels._cv_scores(table, grids)
+        assert np.array_equal(scores, blockwise_scores(table, grids))
+        assert scores[0] == pytest.approx(3.0 + 14.0 / 9.0, rel=1e-15, abs=0.0)
+
     def test_each_candidate_flags_its_own_mass(self):
         # No row has mass at h = 0.01; every row has some at h = 100.
         ds = build_dataset([1.0, 2.0, 3.0], [1, 1, 0], x_cols=[[0.0, 10.0, 20.0]])
@@ -552,6 +583,35 @@ class TestFanOut:
         monkeypatch.setattr(kernels, "_free_workers", lambda: 2)
         cv_bandwidth(ds, grid=default_grid(num=4))
         assert multiprocessing.active_children() == []
+
+    def test_identical_for_any_blas_thread_count(self, tmp_path):
+        # The scan's residuals go through BLAS, in forked workers when the
+        # scan is large enough (both inputs here are); its scores must not
+        # depend on how many threads BLAS runs.
+        src = str(Path(kernels.__file__).resolve().parents[1])
+        script = (
+            "import sys, numpy as np\n"
+            "from smoothcure import default_grid, kernels, standardize_continuous\n"
+            "from smoothcure.simulate import DEFAULT_SEED, generate, make_scenario\n"
+            "out = {}\n"
+            "for key, n in (('m4/s1/c1', 400), ('m1/s1/c1', 1500)):\n"
+            "    ds = standardize_continuous(generate(make_scenario(key, n=n), DEFAULT_SEED, 0))\n"
+            "    grids = [default_grid()] * ds.meta.n_continuous\n"
+            "    out[key.replace('/', '_')] = kernels._cv_scores(kernels._cv_table(ds), grids)\n"
+            "np.savez(sys.argv[1], **out)\n"
+        )
+        scores = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            path = tmp_path / f"threads-{threads}.npz"
+            subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
+            with np.load(path) as saved:
+                scores.append({key: saved[key] for key in saved.files})
+        assert sorted(scores[0]) == ["m1_s1_c1", "m4_s1_c1"]
+        for key in scores[0]:
+            assert np.all(np.isfinite(scores[0][key])), key
+            assert np.array_equal(scores[0][key], scores[1][key]), key
 
     def test_free_workers(self, monkeypatch):
         # One per usable CPU in a process that is not a worker, under fork;
